@@ -22,7 +22,7 @@ from .coverage import InfeasibleCoverage, min_power_search
 from .jacobian import JacobianApprox, estimate_jacobian, support_graph
 from .model import AlgorithmConfig, NetworkTopology
 from .mrdata import MrDataset
-from .traffic import UserBatch, assign_users
+from .traffic import UserBatch
 
 DENSE_LIMIT = 2000
 
@@ -218,6 +218,8 @@ def step(topo: NetworkTopology, powers: np.ndarray, users: UserBatch,
     """Run one full balancing period.
 
     Computes busy-degrees, targets and disagreement from the period's users,
+    served by each record's main service antenna (``mr_signal`` must be the
+    period's unfiltered batch recorded at ``powers``; ValueError otherwise),
     estimates the Jacobian from the signal-domain records, solves for the
     adjustment with the requested algorithm (falling back from bdba to bfdba
     on a singular estimate, and holding powers when even the diagonal is
@@ -227,8 +229,12 @@ def step(topo: NetworkTopology, powers: np.ndarray, users: UserBatch,
     if algorithm not in ("bdba", "bfdba"):
         raise ValueError(f"unknown balancing algorithm {algorithm!r}")
     powers = np.asarray(powers, dtype=float)
-    assignment = assign_users(users, powers)
-    f = busy_degrees(assignment, users, topo)
+    if (mr_signal.recorded_powers is None
+            or not np.array_equal(mr_signal.recorded_powers, powers)):
+        raise ValueError(f"period {period}: the MR batch was not recorded at "
+                         "the powers being balanced, so its serving antennas "
+                         "are not the users' assignment")
+    f = busy_degrees(mr_signal.serving(), users, topo)
     f_bar = targets(f, topo, cfg.target_mode)
     d = disagreement(f, f_bar)
     state = BusyState(period=period, f=f, f_bar=f_bar, d=d)

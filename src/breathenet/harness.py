@@ -200,6 +200,8 @@ class ExperimentResult:
     steps: list[BalanceStep]
     busy: list[BusyState]
     final_powers: np.ndarray
+    # period, exception type and message of the failure that ended the run
+    aborted: dict | None = None
 
 
 def _metrics_row(state: BusyState, threshold: float) -> tuple[float, float, float]:
@@ -223,7 +225,9 @@ def run_experiment(spec: ExperimentSpec, output_dir=None,
     Deterministic for fixed seeds apart from the wall-clock column. With
     algorithm='none' the powers never move (the static baseline). If a
     period raises (for example an infeasible coverage floor), results for
-    the committed periods are still written before the error propagates.
+    the committed periods are still written, with the failing period and
+    the exception recorded under "aborted" in the manifest, before the
+    error propagates.
 
     coverage_mode='surrogate' trains the per-antenna net family once, on the
     first period's batch, and reuses it for every later minimum-power search,
@@ -244,8 +248,9 @@ def run_experiment(spec: ExperimentSpec, output_dir=None,
             mr = generate_mr(users, p, cfg.top_m)
             cov = _coverage_dataset(mr, p, cfg, seed=spec.seed + 7919 * k)
             if spec.algorithm == "none":
-                assignment = assign_users(users, p)
-                f = busy_degrees(assignment, users, topo)
+                # the batch was recorded at p: its serving antennas are the
+                # strongest-pilot assignment
+                f = busy_degrees(mr.serving(), users, topo)
                 f_bar = targets(f, topo, cfg.target_mode)
                 state = BusyState(period=k, f=f, f_bar=f_bar,
                                   d=disagreement(f, f_bar))
@@ -278,10 +283,12 @@ def run_experiment(spec: ExperimentSpec, output_dir=None,
             if progress:
                 print(f"period {k:4d}  std={std:.4f}  over={over:.3f}  "
                       f"d_inf={dinf:.4f}  F={F:.5f}", flush=True)
-    except Exception:
-        if out is not None and rows:
-            partial = ExperimentResult(spec, _series_from_rows(rows), steps,
-                                       busy, p)
+    except Exception as exc:
+        if out is not None:
+            partial = ExperimentResult(
+                spec, _series_from_rows(rows), steps, busy, p,
+                aborted={"period": k, "type": type(exc).__name__,
+                         "message": str(exc)})
             write_results(partial, out)
         raise
     result = ExperimentResult(spec, _series_from_rows(rows), steps, busy, p)
@@ -328,6 +335,8 @@ def write_results(result: ExperimentResult, out_dir) -> Path:
         "algorithm": spec.algorithm,
         "periods_completed": len(result.metrics),
     }
+    if result.aborted is not None:
+        manifest["aborted"] = result.aborted
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     charts = out / "charts"

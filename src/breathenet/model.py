@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -203,6 +203,10 @@ class AlgorithmConfig:
             raise ConfigError("svd_cutoff must lie in [0, 1)")
 
     def with_overrides(self, **kwargs) -> "AlgorithmConfig":
+        known = [f.name for f in fields(self)]
+        unknown = sorted(set(kwargs) - set(known))
+        if unknown:
+            raise ConfigError(f"unknown cfg key(s) {unknown}; known keys: {known}")
         return replace(self, **kwargs)
 
 

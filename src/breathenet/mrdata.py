@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .traffic import UserBatch
+from .traffic import UserBatch, block_rows
 
 _PAD_SENTINEL = np.iinfo(np.int32).max
 
@@ -115,7 +115,9 @@ def generate_mr(users: UserBatch, powers: np.ndarray, top_m: int = 6) -> MrDatas
     """Record the top_m strongest antennas for every user under ``powers``.
 
     Entries are sorted by received strength descending with exact ties broken
-    by ascending antenna id, so entry 0 agrees with ``assign_users``.
+    by ascending antenna id, also where a tie straddles the top_m cut, so
+    entry 0 agrees with ``assign_users``. Users are ranked one row block at a
+    time; no (U, n) temporary is allocated.
     """
     if top_m < 1:
         raise ValueError("top_m must be at least 1")
@@ -125,19 +127,51 @@ def generate_mr(users: UserBatch, powers: np.ndarray, top_m: int = 6) -> MrDatas
         raise ValueError("power vector length does not match antenna count")
     m = min(top_m, n)
     u = len(users)
-    if u == 0:
-        return MrDataset(np.zeros((0, m), np.int32), np.zeros((0, m)),
-                         "signal", n, recorded_powers=powers.copy())
-    received = powers[None, :] - users.attenuation
-    if m < n:
-        part = np.argpartition(-received, m - 1, axis=1)[:, :m]
-    else:
-        part = np.broadcast_to(np.arange(n), (u, n)).copy()
-    vals = np.take_along_axis(received, part, axis=1)
-    order = np.lexsort((part, -vals), axis=1)
-    ids = np.take_along_axis(part, order, axis=1).astype(np.int32) + 1
-    vals = np.take_along_axis(vals, order, axis=1)
+    ids = np.empty((u, m), np.int32)
+    vals = np.empty((u, m))
+    rows = block_rows(n)
+    neg = np.empty((min(rows, u), n))
+    for lo in range(0, u, rows):
+        hi = min(lo + rows, u)
+        att = users.attenuation[lo:hi]
+        if m < n:
+            part, v = _strongest(att, powers, m, neg[:hi - lo])
+        else:
+            part = np.broadcast_to(np.arange(n), (hi - lo, n))
+            v = _received(att, powers, part)
+        order = np.lexsort((part, -v), axis=1)
+        ids[lo:hi] = np.take_along_axis(part, order, axis=1) + 1
+        vals[lo:hi] = np.take_along_axis(v, order, axis=1)
     return MrDataset(ids, vals, "signal", n, recorded_powers=powers.copy())
+
+
+def _received(att: np.ndarray, powers: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """powers - attenuation at the given columns of each row."""
+    return powers[cols] - np.take_along_axis(att, cols, axis=1)
+
+
+def _strongest(att: np.ndarray, powers: np.ndarray, m: int,
+               neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of the m strongest pilots of each row, unordered, with their
+    received strengths; ``neg`` is scratch space shaped like ``att``.
+
+    ``argpartition`` picks an arbitrary subset of values tied at the cut;
+    rows with such a tie are re-ranked by a stable sort so that the lowest
+    ids win, as they do in ``argmax``.
+    """
+    # attenuation - powers is exactly -(powers - attenuation): IEEE
+    # subtraction rounds symmetrically
+    np.subtract(att, powers, out=neg)
+    ranked = np.argpartition(neg, m, axis=1)
+    part = ranked[:, :m]
+    v = _received(att, powers, part)
+    # the cut is tied when a chosen strength equals the (m+1)-th strongest
+    at_cut = v == _received(att, powers, ranked[:, m:m + 1])
+    if at_cut.any():
+        tied = np.flatnonzero(at_cut.any(axis=1))
+        part[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :m]
+        v = _received(att, powers, part)
+    return part, v
 
 
 def to_attenuation(ds: MrDataset, powers: np.ndarray) -> MrDataset:
@@ -298,21 +332,16 @@ def sample_for_jacobian(ds: MrDataset, i: int, n_s: int, seed: int = 0) -> np.nd
 def co_neighbours(ds: MrDataset) -> list[set[int]]:
     """Antennas are neighbours when they appear in the same record."""
     n = ds.n_antennas
-    sets: list[set[int]] = [set() for _ in range(n)]
-    m = ds.top_m
-    pairs = []
-    for c1 in range(m):
-        for c2 in range(c1 + 1, m):
-            a, b = ds.ids[:, c1], ds.ids[:, c2]
-            ok = (a > 0) & (b > 0)
-            if ok.any():
-                pairs.append(np.stack([a[ok], b[ok]], axis=1))
-    if pairs:
-        uniq = np.unique(np.concatenate(pairs), axis=0)
-        for a, b in uniq:
-            sets[int(a) - 1].add(int(b))
-            sets[int(b) - 1].add(int(a))
-    return sets
+    # adjacency over ids 0..n; id 0 is the padding and is masked out below
+    adj = np.zeros((n + 1, n + 1), dtype=bool)
+    for c1 in range(ds.top_m):
+        for c2 in range(c1 + 1, ds.top_m):
+            adj[ds.ids[:, c1], ds.ids[:, c2]] = True
+    adj[0, :] = False
+    adj[:, 0] = False
+    adj |= adj.T
+    np.fill_diagonal(adj, False)
+    return [set(np.flatnonzero(row).tolist()) for row in adj[1:]]
 
 
 @dataclass(frozen=True)

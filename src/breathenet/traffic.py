@@ -10,6 +10,11 @@ import numpy as np
 
 from .model import ConfigError, NetworkTopology
 
+# Elements per scratch buffer of the row-blocked U x n kernels (1 MiB of
+# float64): large enough that per-block overhead vanishes, small enough that
+# no temporary grows with the user count.
+BLOCK_ELEMENTS = 1 << 17
+
 
 @dataclass(frozen=True)
 class PathlossModel:
@@ -193,15 +198,50 @@ def sample_users(scenario: TrafficScenario, model: PathlossModel,
               else rng.integers(lo, hi + 1, size=u, dtype=np.int64))
 
     sites = topo.positions()
-    dist = np.hypot(positions[:, None, 0] - sites[None, :, 0],
-                    positions[:, None, 1] - sites[None, :, 1])
-    np.clip(dist, 1.0, None, out=dist)
-    att = model.reference_loss + 10.0 * model.exponent * np.log10(dist)
-    if model.shadowing_sigma > 0 and u:
-        shadow_rng = np.random.default_rng(
-            np.random.SeedSequence(model.seed, spawn_key=(k, 1)))
-        att += model.shadowing_sigma * shadow_rng.standard_normal(att.shape)
+    att = np.empty((u, len(sites)))
+    shadow_rng = (np.random.default_rng(
+        np.random.SeedSequence(model.seed, spawn_key=(k, 1)))
+        if model.shadowing_sigma > 0 else None)
+    _fill_attenuation(att, positions, sites, model, shadow_rng)
     return UserBatch(positions, att, demand, k)
+
+
+def block_rows(n: int) -> int:
+    """Rows per block of a kernel streaming through U x n user data."""
+    return max(1, BLOCK_ELEMENTS // max(1, n))
+
+
+def _fill_attenuation(att: np.ndarray, positions: np.ndarray, sites: np.ndarray,
+                      model: PathlossModel, shadow_rng) -> None:
+    """Write reference_loss + 10*exponent*log10(max(d, 1)) + sigma*z into
+    ``att``, one row block at a time.
+
+    Every block applies the whole-matrix formula operation by operation, in
+    the same order, through ``out=`` ufuncs, so ``att`` is bitwise what the
+    one-shot expression gives. The shadowing generator's stream is sequential:
+    drawing block by block yields the same numbers as one (U, n) draw.
+    """
+    n = att.shape[1]
+    rows = block_rows(n)
+    dx = np.empty((min(rows, len(att)), n))
+    dy = np.empty_like(dx)
+    slope = 10.0 * model.exponent
+    for lo in range(0, len(att), rows):
+        hi = min(lo + rows, len(att))
+        blk = att[lo:hi]
+        bx, by = dx[:hi - lo], dy[:hi - lo]
+        np.subtract(positions[lo:hi, 0, None], sites[None, :, 0], out=bx)
+        np.subtract(positions[lo:hi, 1, None], sites[None, :, 1], out=by)
+        np.hypot(bx, by, out=blk)
+        np.clip(blk, 1.0, None, out=blk)
+        np.log10(blk, out=blk)
+        np.multiply(blk, slope, out=blk)
+        np.add(blk, model.reference_loss, out=blk)
+        if shadow_rng is not None:
+            # bx is free again once hypot has read it
+            shadow_rng.standard_normal(out=bx)
+            np.multiply(bx, model.shadowing_sigma, out=bx)
+            np.add(blk, bx, out=blk)
 
 
 def _rescale_population(base: UserBatch, total: int, seed: int):

@@ -262,6 +262,18 @@ class TestStep:
         with pytest.raises(ValueError):
             step(topo, p, users, mr, evaluator, cfg, "newton", period=1)
 
+    def test_batch_recorded_at_other_powers_rejected(self):
+        # the serving antennas of a batch are the assignment only at the
+        # powers it was recorded at
+        att = np.array([[70.0, 72.0]] * 50 + [[72.0, 70.0]] * 50)
+        topo, p, users, mr, evaluator, cfg = step_inputs(att)
+        with pytest.raises(ValueError, match="recorded"):
+            step(topo, p + np.array([3.0, 0.0]), users, mr, evaluator, cfg,
+                 "bdba", period=1)
+        mr.recorded_powers = None
+        with pytest.raises(ValueError, match="recorded"):
+            step(topo, p, users, mr, evaluator, cfg, "bfdba", period=1)
+
     def test_coverage_floor_enters_the_clamp(self):
         # reach at the start powers is 69.5 dB, below every entry, so the
         # search has to raise somebody before the clamp

@@ -77,6 +77,15 @@ class TestSpecs:
         with pytest.raises(ConfigError, match="horizon"):
             ExperimentSpec(*bundle, cfg=QUICK_CFG, algorithm="none", periods=9)
 
+    def test_unknown_cfg_key_named(self):
+        d = {"bundle": {"name": "random", "nx": 2, "ny": 2, "periods": 1,
+                        "total_users": 100, "seed": 1},
+             "cfg": {"gama": 0.5, "r_c": -110.0}}
+        with pytest.raises(ConfigError, match="gama"):
+            spec_from_dict(d)
+        with pytest.raises(ConfigError, match="gama"):
+            AlgorithmConfig().with_overrides(gama=0.5)
+
     def test_missing_blocks_named(self):
         with pytest.raises(ConfigError, match="topology"):
             spec_from_dict({"scenario": {}})
@@ -184,6 +193,22 @@ class TestRunExperiment:
         assert list(written.period) == [1]
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["periods_completed"] == 1
+        assert manifest["aborted"]["period"] == 2
+
+    def test_manifest_records_why_the_run_aborted(self, tmp_path):
+        # r_c -40 dBm is out of reach at rated power for every record
+        cfg = AlgorithmConfig(gamma=0.5, r_c=-40.0, n_s=800)
+        spec = quick_spec(periods=2, cfg=cfg, nx=2, ny=2, total_users=1500)
+        with pytest.raises(InfeasibleCoverage) as info:
+            run_experiment(spec, output_dir=tmp_path / "out")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["periods_completed"] == 0
+        assert manifest["aborted"] == {"period": 1,
+                                       "type": "InfeasibleCoverage",
+                                       "message": str(info.value)}
+        assert "rated power" in manifest["aborted"]["message"]
+        written = MetricsSeries.from_csv(tmp_path / "out" / "metrics.csv")
+        assert len(written) == 0
 
 
 class TestResultsLayout:
@@ -287,6 +312,23 @@ class TestCli:
         assert main(["run", str(spec_path), "--quiet", "--algorithm", "none",
                      "--periods", "1"]) == 0
         assert "algorithm=none periods=1" in capsys.readouterr().out
+
+    def test_readme_quick_start_config(self, tmp_path, capsys):
+        from pathlib import Path
+
+        from breathenet.cli import main
+
+        config = Path(__file__).resolve().parents[1] / "configs" / "demo_experiment.json"
+        # the README calls it a 24-period tidal day on a 50-antenna grid
+        # under bdba
+        spec = spec_from_dict(json.loads(config.read_text()))
+        assert (spec.topo.n, spec.periods, spec.algorithm) == (50, 24, "bdba")
+        out = tmp_path / "tidal-bdba"
+        assert main(["run", str(config), "-o", str(out), "--periods", "2"]) == 0
+        assert "algorithm=bdba periods=2" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["periods_completed"] == 2
+        assert "aborted" not in manifest
 
     def test_train_coverage(self, tmp_path, capsys):
         from breathenet.cli import main

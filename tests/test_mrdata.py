@@ -3,6 +3,8 @@ deletion, ranked tables, sampling and persistence."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from breathenet.mrdata import (
@@ -19,7 +21,7 @@ from breathenet.mrdata import (
     to_attenuation,
     to_signal,
 )
-from breathenet.traffic import UserBatch, assign_users
+from breathenet.traffic import UserBatch, assign_users, block_rows
 
 
 def batch_from_attenuation(att):
@@ -102,6 +104,77 @@ class TestGeneration:
             MrRecord(())
         with pytest.raises(ValueError):
             MrRecord(((1, 5.0), (1, 4.0)))
+
+
+def unblocked_generate_mr(att, powers, top_m):
+    """Whole-batch ranking, the reference for the row-blocked kernel: one
+    (U, n) received matrix, argpartition of its negation, lexsort."""
+    n = att.shape[1]
+    m = min(top_m, n)
+    u = len(att)
+    if u == 0:
+        return np.zeros((0, m), np.int32), np.zeros((0, m))
+    received = powers[None, :] - att
+    if m < n:
+        part = np.argpartition(-received, m - 1, axis=1)[:, :m]
+    else:
+        part = np.broadcast_to(np.arange(n), (u, n)).copy()
+    vals = np.take_along_axis(received, part, axis=1)
+    order = np.lexsort((part, -vals), axis=1)
+    ids = np.take_along_axis(part, order, axis=1).astype(np.int32) + 1
+    vals = np.take_along_axis(vals, order, axis=1)
+    return ids, vals
+
+
+class TestBlockedGeneration:
+    """generate_mr ranks users in row blocks; on tie-free batches it must be
+    bitwise the whole-batch ranking on both sides of every block edge."""
+
+    N = 64
+    B = block_rows(N)
+
+    @pytest.mark.parametrize("top_m", [1, 6, N, N + 10])
+    @pytest.mark.parametrize("users", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    def test_matches_unblocked_ranking(self, users, top_m):
+        rng = np.random.default_rng(users + 7 * top_m)
+        att = rng.uniform(60.0, 140.0, size=(users, self.N))
+        p = rng.uniform(38.0, 46.0, size=self.N)
+        ds = generate_mr(batch_from_attenuation(att), p, top_m)
+        ids, vals = unblocked_generate_mr(att, p, top_m)
+        assert ds.ids.dtype == ids.dtype == np.int32
+        assert np.array_equal(ds.ids, ids)
+        assert np.array_equal(ds.values, vals)
+        assert np.array_equal(ds.recorded_powers, p)
+
+
+@st.composite
+def tied_batches(draw):
+    """Small batches whose entries come from a few attenuation levels, so
+    exact ties across antennas (whole tied rows included) are common."""
+    n = draw(st.integers(1, 40))
+    u = draw(st.integers(0, 16))
+    levels = np.array([61.0, 60.0, 62.0, 75.0])[:draw(st.integers(1, 4))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    att = levels[rng.integers(0, len(levels), size=(u, n))]
+    if u and draw(st.booleans()):
+        att[draw(st.integers(0, u - 1))] = 61.0
+    powers = np.where(rng.random(n) < draw(st.sampled_from([0.0, 0.5])),
+                      41.0, 40.0)
+    return att, powers, draw(st.integers(1, 8))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tied_batches())
+def test_serving_equals_assignment_under_ties(batch):
+    att, p, top_m = batch
+    users = batch_from_attenuation(att)
+    ds = generate_mr(users, p, top_m)
+    np.testing.assert_array_equal(ds.serving(), assign_users(users, p))
+    # the whole record follows (-received, id), also across the top_m cut
+    received = p[None, :] - att
+    want = [sorted(range(len(p)), key=lambda j: (-row[j], j))[:ds.top_m]
+            for row in received]
+    np.testing.assert_array_equal(ds.ids - 1, np.array(want).reshape(ds.ids.shape))
 
 
 class TestDomainSwitch:
@@ -273,6 +346,17 @@ class TestJacobianSampling:
         assert not np.array_equal(a, sample_for_jacobian(ds, 1, 50, seed=4))
 
 
+def brute_force_co_neighbours(ds):
+    sets = [set() for _ in range(ds.n_antennas)]
+    for idx in range(len(ds)):
+        listed = [aid for aid, _ in ds.record(idx).entries]
+        for a in listed:
+            for b in listed:
+                if a != b:
+                    sets[a - 1].add(b)
+    return sets
+
+
 class TestCoNeighbours:
     def test_co_occurrence(self):
         ds = dataset_from_records(
@@ -288,6 +372,41 @@ class TestCoNeighbours:
         for i, peers in enumerate(sets, start=1):
             for j in peers:
                 assert i in sets[j - 1]
+
+    def test_padded_records_and_the_highest_id(self):
+        # antenna 9 is the last row and column of the table; 4, 7 and 8
+        # appear in no record
+        recs = [((9, 70.0), (1, 72.0), (3, 80.0)), ((2, 65.0),),
+                ((5, 60.0), (9, 61.0)), ((6, 75.0), (2, 76.0), (1, 90.0)),
+                ((3, 71.0), (5, 73.0))]
+        ds = dataset_from_records([MrRecord(r) for r in recs], "attenuation", 9)
+        assert (ds.ids == 0).any()
+        sets = co_neighbours(ds)
+        assert sets == brute_force_co_neighbours(ds)
+        assert sets[8] == {1, 3, 5}
+        assert sets[3] == sets[6] == sets[7] == set()
+
+    def test_single_entry_records_give_no_pairs(self):
+        rng = np.random.default_rng(12)
+        users = batch_from_attenuation(rng.uniform(60, 110, size=(300, 7)))
+        ds = generate_mr(users, np.full(7, 40.0), top_m=1)
+        assert co_neighbours(ds) == [set()] * 7
+
+    def test_empty_batch(self):
+        ds = dataset_from_records([], "signal", 4)
+        assert co_neighbours(ds) == [set()] * 4
+
+    @pytest.mark.parametrize("top_m", [2, 3, 6])
+    def test_random_batches(self, top_m):
+        rng = np.random.default_rng(top_m)
+        n = 30
+        att = rng.uniform(60, 140, size=(500, n))
+        att[:, n - 5:] += 200.0  # the last antennas never make a record
+        att[:40, n - 1] = 10.0  # except the highest id, for a few users
+        ds = generate_mr(batch_from_attenuation(att), np.full(n, 40.0), top_m)
+        sets = co_neighbours(ds)
+        assert sets == brute_force_co_neighbours(ds)
+        assert sets[n - 2] == set() and sets[n - 1]
 
 
 class TestCsvRoundTrip:

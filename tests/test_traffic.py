@@ -11,6 +11,7 @@ from breathenet.traffic import (
     TrafficScenario,
     UserBatch,
     assign_users,
+    block_rows,
     sample_users,
     save_users_csv,
     scenario_from_dict,
@@ -234,3 +235,75 @@ def test_users_csv_layout(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "user_id,x,y,demand,period"
     assert len(lines) == 6
+
+
+def unblocked_attenuation(positions, sites, model, k):
+    """The whole-matrix pathloss formula, the reference for the row-blocked
+    kernel: one (U, n) expression and one (U, n) shadowing draw."""
+    dist = np.hypot(positions[:, None, 0] - sites[None, :, 0],
+                    positions[:, None, 1] - sites[None, :, 1])
+    np.clip(dist, 1.0, None, out=dist)
+    att = model.reference_loss + 10.0 * model.exponent * np.log10(dist)
+    if model.shadowing_sigma > 0 and len(positions):
+        shadow_rng = np.random.default_rng(
+            np.random.SeedSequence(model.seed, spawn_key=(k, 1)))
+        att += model.shadowing_sigma * shadow_rng.standard_normal(att.shape)
+    return att
+
+
+class TestBlockedAttenuation:
+    """sample_users fills the matrix in row blocks; it must be bitwise the
+    one-shot formula on both sides of every block edge."""
+
+    N = 64
+    B = block_rows(N)
+
+    def sample(self, users, model, demand=(1, 1), k=1):
+        topo = line_topo(self.N, spacing=150.0)
+        spots = [Hotspot((4000.0, 300.0), 0.7, 2500.0),
+                 Hotspot((9000.0, -200.0), 0.3, 800.0, truncate=2.0)]
+        scenario = TrafficScenario(
+            periods=tuple(PeriodSpec(users, tuple(spots)) for _ in range(k)),
+            seed=17, demand=demand)
+        return topo, sample_users(scenario, model, topo, k)
+
+    @pytest.mark.parametrize("users", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    def test_matches_unblocked_formula(self, users):
+        model = PathlossModel(exponent=3.7, reference_loss=31.5,
+                              shadowing_sigma=6.0, seed=23)
+        topo, batch = self.sample(users, model, k=2)
+        want = unblocked_attenuation(batch.positions, topo.positions(), model, 2)
+        assert batch.attenuation.shape == (users, self.N)
+        assert np.array_equal(batch.attenuation, want)
+
+    def test_without_shadowing(self):
+        model = PathlossModel(shadowing_sigma=0.0, seed=5)
+        topo, batch = self.sample(2 * self.B + 3, model)
+        want = unblocked_attenuation(batch.positions, topo.positions(), model, 1)
+        assert np.array_equal(batch.attenuation, want)
+
+    def test_with_a_demand_range(self):
+        model = PathlossModel(seed=8)
+        topo, batch = self.sample(self.B + 5, model, demand=(2, 5))
+        assert batch.demand.min() >= 2 and batch.demand.max() <= 5
+        want = unblocked_attenuation(batch.positions, topo.positions(), model, 1)
+        assert np.array_equal(batch.attenuation, want)
+
+    @pytest.mark.parametrize("later", [B // 3, 2 * B + 11])
+    def test_proportional_rescale(self, later):
+        topo = line_topo(self.N, spacing=150.0)
+        spots = (Hotspot((4000.0, 0.0), 1.0, 3000.0),)
+        base_users = self.B + 9
+        scenario = TrafficScenario(
+            periods=(PeriodSpec(base_users, spots), PeriodSpec(later, spots)),
+            seed=41, mode="proportional")
+        model = PathlossModel(seed=42)
+        base = sample_users(scenario, model, topo, 1)
+        got = sample_users(scenario, model, topo, 2)
+        want_base = unblocked_attenuation(base.positions, topo.positions(), model, 1)
+        perm = np.random.default_rng(
+            np.random.SeedSequence(41, spawn_key=(0, 97))).permutation(base_users)
+        reps, rem = divmod(later, base_users)
+        pick = np.concatenate([np.tile(np.arange(base_users), reps), perm[:rem]])
+        assert np.array_equal(got.positions, base.positions[pick])
+        assert np.array_equal(got.attenuation, want_base[pick])
