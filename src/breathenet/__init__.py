@@ -15,7 +15,7 @@ from .balancer import (
     save_steps_jsonl,
     step,
 )
-from .busy import BusyState, ZeroTraffic, busy_degrees, disagreement, relative_busy, targets
+from .busy import BusyState, ZeroTraffic, busy_degrees, disagreement, targets
 from .coverage import (
     CoverageReport,
     ExactNeighbourhoodEvaluator,
@@ -26,7 +26,6 @@ from .coverage import (
     exact_coverage,
     load_surrogate,
     min_power_search,
-    neighbourhood_coverage,
     save_surrogate,
     surrogate_coverage,
     train_neighbourhood_surrogates,
@@ -55,7 +54,6 @@ from .model import (
     Antenna,
     ConfigError,
     NetworkTopology,
-    SimulationClock,
     ValidationReport,
     dbm_to_watts,
     symmetrize,
@@ -69,7 +67,6 @@ from .mrdata import (
     LoadReport,
     MrDataset,
     MrRecord,
-    build_per_antenna_tables,
     co_neighbours,
     dataset_from_records,
     generate_mr,

@@ -76,14 +76,3 @@ def disagreement(f: np.ndarray, f_bar: np.ndarray) -> np.ndarray:
     if (f_bar <= 0).any():
         raise ZeroTraffic("non-positive target busy-degree")
     return 1.0 - f / f_bar
-
-
-def relative_busy(f: np.ndarray, z: float, topo: NetworkTopology) -> np.ndarray:
-    """Busy-degrees scaled by the network average z / sum_j r_j.
-
-    The capacity-weighted mean of the result is 1 whenever z equals the
-    actual total traffic.
-    """
-    if z <= 0:
-        raise ZeroTraffic("total traffic must be positive")
-    return np.asarray(f, dtype=float) * (topo.prb_vector().sum() / z)

@@ -21,12 +21,12 @@ from .harness import (
     spec_from_dict,
 )
 from .model import topology_from_json
-from .mrdata import build_per_antenna_tables, load_csv, remove_redundant
+from .mrdata import load_csv, remove_redundant
 
 _CFG_FLAGS = {
     "epsilon": float, "gamma": float, "tau": float, "delta_p": float,
     "n_s": int, "f_con": float, "r_c": float, "target_mode": str,
-    "top_m": int, "over_busy_threshold": float, "coverage_mode": str,
+    "top_m": int, "over_busy_threshold": float,
     "coverage_sample": int, "svd_cutoff": float,
 }
 
@@ -99,7 +99,7 @@ def _cmd_train_coverage(args) -> int:
     ds, report = load_csv(args.batch, topo.n, powers=topo.initial_powers())
     if report.rejected:
         print(f"rejected {report.rejected} malformed records", file=sys.stderr)
-    ds = build_per_antenna_tables(remove_redundant(ds))
+    ds = remove_redundant(ds)
     evaluator = train_neighbourhood_surrogates(
         ds, topo, r_c=args.r_c, n_samples=args.samples, span=args.span,
         epochs=args.epochs, lr=args.lr, seed=args.seed)

@@ -1,14 +1,13 @@
 """Coverage evaluation and the coverage-constrained minimum-power floor.
 
-A deduplicated attenuation batch with per-antenna tables is the working
-representation: record l is covered under powers p iff some listed antenna i
-has attenuation a <= p_i - r_c, i.e. its received pilot clears the threshold
-r_c. Because attenuation is power-independent, the same tables answer
-coverage queries for any hypothetical power vector by shifting each antenna's
-cutoff, which is what the minimum-power search exploits.
+A deduplicated attenuation batch is the working representation: record l is
+covered under powers p iff some listed antenna i has attenuation
+a <= p_i - r_c, i.e. its received pilot clears the threshold r_c. Because
+attenuation is power-independent, one batch answers coverage queries for any
+hypothetical power vector, which is what the minimum-power search exploits.
 
-The monotone surrogate replaces exact evaluation where it is too slow: a
-small fully-connected net whose effective weights are squares of the stored
+The monotone surrogate is an offline artifact (``breathenet train-coverage``):
+a small fully-connected net whose effective weights are squares of the stored
 parameters, making the output provably non-decreasing in every input power.
 """
 
@@ -39,14 +38,11 @@ class CoverageReport:
     F: float
     uncovered_count: int
     k_prime: int
-    F_i: dict[int, float] | None = None
 
 
-def _require_tables(ds: MrDataset) -> None:
+def _require_attenuation(ds: MrDataset) -> None:
     if ds.domain != "attenuation":
         raise ValueError("coverage needs an attenuation-domain batch")
-    if ds.per_antenna is None:
-        raise ValueError("build per-antenna tables before evaluating coverage")
 
 
 def _check_staleness(ds: MrDataset, powers: np.ndarray) -> None:
@@ -57,14 +53,19 @@ def _check_staleness(ds: MrDataset, powers: np.ndarray) -> None:
                           "the queried powers; rates may be stale")
 
 
+def covered(ds: MrDataset, powers: np.ndarray, r_c: float) -> np.ndarray:
+    """Per record: some listed antenna i has attenuation <= p_i - r_c."""
+    mask = ds.entry_mask()
+    cut = powers[np.where(mask, ds.ids, 1) - 1] - r_c
+    return (mask & (ds.values <= cut)).any(axis=1)
+
+
 def exact_coverage(ds: MrDataset, powers: np.ndarray, r_c: float) -> CoverageReport:
     """Network coverage rate F = 1 - uncovered / K' over the whole batch.
 
-    Scans each antenna's ranked table only up to the first attenuation above
-    that antenna's cutoff p_i - r_c. An empty batch counts as fully covered
-    (with a warning).
+    An empty batch counts as fully covered (with a warning).
     """
-    _require_tables(ds)
+    _require_attenuation(ds)
     powers = np.asarray(powers, dtype=float)
     if powers.shape != (ds.n_antennas,):
         raise ValueError("power vector length does not match antenna count")
@@ -73,86 +74,45 @@ def exact_coverage(ds: MrDataset, powers: np.ndarray, r_c: float) -> CoverageRep
         warnings.warn("coverage requested for an empty batch; reporting 1.0")
         return CoverageReport(F=1.0, uncovered_count=0, k_prime=0)
     _check_staleness(ds, powers)
-    covered = np.zeros(k_prime, dtype=bool)
-    for aid, (idx, avals) in ds.per_antenna.items():
-        stop = np.searchsorted(avals, powers[aid - 1] - r_c, side="right")
-        covered[idx[:stop]] = True
-    uncovered = int(k_prime - covered.sum())
+    uncovered = int(k_prime - covered(ds, powers, r_c).sum())
     return CoverageReport(F=1.0 - uncovered / k_prime,
                           uncovered_count=uncovered, k_prime=k_prime)
-
-
-def neighbourhood_coverage(ds: MrDataset, powers: np.ndarray, i: int,
-                           r_c: float, neighbours: list[set[int]] | None = None) -> float:
-    """Coverage rate of antenna i's neighbourhood.
-
-    Relevant records are those listing antenna i among their entries; the
-    rate is the fraction of them reachable by at least one of their listed
-    antennas at the candidate powers. Every listed antenna of such a record
-    co-occurs with i, so the coverers are exactly the neighbourhood members
-    present in the record, and an uncovered record drags down the rate of
-    every antenna it lists. That keeps the minimum-power search
-    self-correcting: whichever listed antenna is best placed to cover the
-    record is itself failing, hence raisable. Antennas mentioned by no
-    record report 1.0.
-
-    The ``neighbours`` argument only affects which antennas count as
-    members for reporting purposes; the rate itself is determined by the
-    records' own entry lists.
-    """
-    _require_tables(ds)
-    del neighbours  # rates depend on the records' listed antennas only
-    powers = np.asarray(powers, dtype=float)
-    table = ds.per_antenna.get(i)
-    if table is None or len(table[0]) == 0:
-        warnings.warn(f"antenna {i}: mentioned by no record in this batch")
-        return 1.0
-    relevant = table[0]
-    covered = np.zeros(len(ds), dtype=bool)
-    for m, (idx, avals) in ds.per_antenna.items():
-        stop = np.searchsorted(avals, powers[m - 1] - r_c, side="right")
-        covered[idx[:stop]] = True
-    return float(covered[relevant].mean())
 
 
 class ExactNeighbourhoodEvaluator:
     """Per-antenna neighbourhood rates from one batch, fast to re-query.
 
-    Built once per period; ``rates(powers)`` re-evaluates every
-    neighbourhood's coverage rate for a hypothetical power vector in one
-    O(total table size) pass: mark which records any listed antenna still
-    reaches, then average those flags over each antenna's mention list.
+    The neighbourhood of antenna i is judged on the records listing i: its
+    rate is the covered share of them. Their coverers are their own listed
+    antennas, so an uncovered record drags down the rate of every antenna it
+    lists, and whichever of them is best placed to cover it is itself
+    failing, hence raisable by the minimum-power search. Antennas mentioned
+    by no record report 1.0.
+
+    Built once per period; ``rates(powers)`` prices every neighbourhood in
+    one ``covered`` pass and one ``bincount`` over the (record, antenna)
+    mentions.
     """
 
-    def __init__(self, ds: MrDataset, r_c: float,
-                 neighbours: list[set[int]] | None = None):
-        _require_tables(ds)
+    def __init__(self, ds: MrDataset, r_c: float):
+        _require_attenuation(ds)
         self.ds = ds
         self.r_c = r_c
         self.n = ds.n_antennas
-        self.neighbours = co_neighbours(ds) if neighbours is None else neighbours
-        self.members = [sorted({i} | set(self.neighbours[i - 1]))
+        self.neighbours = co_neighbours(ds)
+        self.members = [sorted({i} | self.neighbours[i - 1])
                         for i in range(1, self.n + 1)]
-        # relevant rows of neighbourhood i: the records listing i; their
-        # coverers are their own entries, so one covered-flag pass over the
-        # tables prices every neighbourhood at once
-        self._relevant = [ds.per_antenna.get(i, (np.zeros(0, dtype=np.int64),))[0]
-                          for i in range(1, self.n + 1)]
-        self._covered = np.zeros(len(ds), dtype=bool)
+        rows, cols = np.nonzero(ds.entry_mask())
+        self._rows = rows
+        self._aid = ds.ids[rows, cols].astype(np.int64) - 1
+        self._seen = np.bincount(self._aid, minlength=self.n)
 
     def rates(self, powers: np.ndarray) -> np.ndarray:
         powers = np.asarray(powers, dtype=float)
-        covered = self._covered
-        covered[:] = False
-        for m, (idx, avals) in self.ds.per_antenna.items():
-            stop = np.searchsorted(avals, powers[m - 1] - self.r_c, side="right")
-            covered[idx[:stop]] = True
-        out = np.ones(self.n)
-        for i in range(self.n):
-            relevant = self._relevant[i]
-            if len(relevant):
-                out[i] = covered[relevant].mean()
-        return out
+        flags = covered(self.ds, powers, self.r_c)[self._rows]
+        hits = np.bincount(self._aid, weights=flags, minlength=self.n)
+        # the sums are exact small integers, so each rate is one rounding
+        return np.where(self._seen > 0, hits / np.maximum(self._seen, 1), 1.0)
 
 
 @dataclass(frozen=True)
@@ -222,10 +182,9 @@ def min_power_search(powers: np.ndarray, topo: NetworkTopology, evaluator,
                     comp, "component still failing with all members at rated power")
             target = min(open_members, key=lambda a: (rates[a - 1], a))
             p[target - 1] = min(p[target - 1] + delta_p, p_max[target - 1])
-    rates = evaluator.rates(p)
-    if build_fail_graph(rates, f_con, evaluator.neighbours).vertices:
-        raise InfeasibleCoverage(build_fail_graph(rates, f_con, evaluator.neighbours).vertices,
-                                 "round bound exhausted")
+    graph = build_fail_graph(evaluator.rates(p), f_con, evaluator.neighbours)
+    if graph.vertices:
+        raise InfeasibleCoverage(graph.vertices, "round bound exhausted")
     return p
 
 

@@ -19,11 +19,10 @@ import scipy
 
 from .balancer import BalanceStep, SingularJacobian, bdba_solve, bfdba_solve, save_steps_jsonl, step
 from .busy import BusyState, busy_degrees, disagreement, targets
-from .coverage import (ExactNeighbourhoodEvaluator, exact_coverage,
-                       train_neighbourhood_surrogates)
+from .coverage import ExactNeighbourhoodEvaluator, exact_coverage
 from .jacobian import approx_from_matrix, estimate_jacobian, laplacian_check, support_graph
 from .model import AlgorithmConfig, ConfigError, NetworkTopology, topology_from_dict, topology_to_dict
-from .mrdata import build_per_antenna_tables, generate_mr, remove_redundant, subsample, to_attenuation
+from .mrdata import generate_mr, remove_redundant, subsample, to_attenuation
 from .synth import ScenarioBundle, drift_bundle, proportional_bundle, random_bundle, tidal_bundle, two_island_bundle
 from .traffic import (
     PathlossModel,
@@ -214,8 +213,7 @@ def _metrics_row(state: BusyState, threshold: float) -> tuple[float, float, floa
 def _coverage_dataset(mr, powers, cfg: AlgorithmConfig, seed: int):
     cov = to_attenuation(mr, powers)
     cov = subsample(cov, cfg.coverage_sample, seed=seed)
-    cov = remove_redundant(cov)
-    return build_per_antenna_tables(cov)
+    return remove_redundant(cov)
 
 
 def run_experiment(spec: ExperimentSpec, output_dir=None,
@@ -228,17 +226,11 @@ def run_experiment(spec: ExperimentSpec, output_dir=None,
     the committed periods are still written, with the failing period and
     the exception recorded under "aborted" in the manifest, before the
     error propagates.
-
-    coverage_mode='surrogate' trains the per-antenna net family once, on the
-    first period's batch, and reuses it for every later minimum-power search,
-    the offline-then-online split such nets are meant for. The reported F
-    column stays exact either way.
     """
     out = Path(output_dir) if output_dir is not None else (
         Path(spec.output_dir) if spec.output_dir else None)
     topo, cfg = spec.topo, spec.cfg
     p = topo.initial_powers()
-    surrogates = None
     rows: list[tuple] = []
     steps: list[BalanceStep] = []
     busy: list[BusyState] = []
@@ -256,14 +248,7 @@ def run_experiment(spec: ExperimentSpec, output_dir=None,
                                   d=disagreement(f, f_bar))
                 seconds = 0.0
             else:
-                if cfg.coverage_mode == "surrogate":
-                    if surrogates is None:
-                        span = float(max(12.0, (topo.p_max_vector() - p).max() + 6.0))
-                        surrogates = train_neighbourhood_surrogates(
-                            cov, topo, cfg.r_c, span=span, seed=spec.seed)
-                    evaluator = surrogates
-                else:
-                    evaluator = ExactNeighbourhoodEvaluator(cov, cfg.r_c)
+                evaluator = ExactNeighbourhoodEvaluator(cov, cfg.r_c)
                 rec = step(topo, p, users, mr, evaluator, cfg,
                            spec.algorithm, period=k, seed=spec.seed + k)
                 steps.append(rec)

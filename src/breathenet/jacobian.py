@@ -10,7 +10,6 @@ row sums near zero.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -270,15 +269,3 @@ def laplacian_check(approx: JacobianApprox, f_bar: np.ndarray) -> LaplacianRepor
         sign_violations=violations,
         second_smallest_singular_value=second_smallest,
     )
-
-
-def save_triplets(approx: JacobianApprox, path) -> None:
-    """Dump the normalized estimate as sparse (i, j, value) CSV, 1-based."""
-    coo = approx.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "value"])
-        for k in order:
-            w.writerow([int(coo.row[k]) + 1, int(coo.col[k]) + 1,
-                        repr(float(coo.data[k]))])

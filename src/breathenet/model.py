@@ -63,6 +63,11 @@ class Antenna:
     def __post_init__(self):
         if self.id < 1:
             raise ConfigError(f"antenna ids start at 1, got {self.id}")
+        # the Jacobian estimator perturbs the pilot by a relative epsilon and
+        # divides by 2 * epsilon * p
+        if not self.p > 0:
+            raise ConfigError(f"antenna {self.id}: pilot power {self.p} dBm "
+                              "must be positive")
         if not self.p <= self.p_max:
             raise ConfigError(
                 f"antenna {self.id}: pilot power {self.p} dBm above rated "
@@ -121,29 +126,6 @@ class NetworkTopology:
 
 
 @dataclass(frozen=True)
-class SimulationClock:
-    """Sampling-period bookkeeping: period index k, period length T, slot H.
-
-    The balancing loop operates once per period; slot-level averaging inside a
-    period is collapsed by the simulator, but T must still be an integer
-    multiple of H so that imported traces line up.
-    """
-
-    k: int = 1
-    T: float = 3600.0
-    H: float = 1.0
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError(f"period index starts at 1, got {self.k}")
-        if self.T <= 0 or self.H <= 0:
-            raise ConfigError("T and H must be positive")
-        ratio = self.T / self.H
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ConfigError(f"T={self.T} is not an integer multiple of H={self.H}")
-
-
-@dataclass(frozen=True)
 class AlgorithmConfig:
     """Tuning knobs of the balancing loop.
 
@@ -157,7 +139,6 @@ class AlgorithmConfig:
     target_mode  'global' or 'local' busy-degree targets
     top_m     antennas listed per measurement record
     over_busy_threshold  busy-degree at or above which an antenna counts as over-busy
-    coverage_mode  'exact' or 'surrogate' coverage evaluation inside the step
     coverage_sample  cap on records fed to the coverage pipeline (0 = all)
     svd_cutoff  relative singular-value floor of the least-squares solve;
                 directions weaker than this fraction of the largest are
@@ -174,7 +155,6 @@ class AlgorithmConfig:
     target_mode: str = "global"
     top_m: int = 6
     over_busy_threshold: float = 0.7
-    coverage_mode: str = "exact"
     coverage_sample: int = 0
     svd_cutoff: float = 0.05
 
@@ -195,8 +175,6 @@ class AlgorithmConfig:
             raise ConfigError(f"unknown target_mode {self.target_mode!r}")
         if self.top_m < 1:
             raise ConfigError("top_m must be at least 1")
-        if self.coverage_mode not in ("exact", "surrogate"):
-            raise ConfigError(f"unknown coverage_mode {self.coverage_mode!r}")
         if self.coverage_sample < 0:
             raise ConfigError("coverage_sample must be >= 0")
         if not 0 <= self.svd_cutoff < 1:
@@ -295,7 +273,13 @@ def topology_from_dict(d: dict) -> NetworkTopology:
     n = len(antennas)
     raw_neigh = d.get("neighbours", {})
     neighbours = [frozenset(int(j) for j in raw_neigh.get(str(i), ())) for i in range(1, n + 1)]
-    return NetworkTopology(tuple(antennas), tuple(neighbours))
+    topo = NetworkTopology(tuple(antennas), tuple(neighbours))
+    asymmetric = validate_topology(topo).symmetry_violations
+    if asymmetric:
+        i, j = asymmetric[0]
+        raise ConfigError(f"neighbours: antenna {i} lists {j}, but antenna {j} "
+                          f"does not list {i}")
+    return topo
 
 
 def topology_to_dict(topo: NetworkTopology) -> dict:

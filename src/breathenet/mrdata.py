@@ -1,6 +1,5 @@
 """Measurement-report batches: generation from simulated users, the
-signal/attenuation domain switch, redundancy deletion, per-antenna lookup
-tables and CSV persistence.
+signal/attenuation domain switch, redundancy deletion and CSV persistence.
 
 A record lists the ``top_m`` strongest antennas for one user, strongest first,
 so the first entry is the main service antenna. Batches are stored as padded
@@ -44,11 +43,7 @@ class MrRecord:
 class MrDataset:
     """Padded-array batch of measurement records.
 
-    ``raw_count`` preserves the pre-deduplication record count. ``per_antenna``
-    maps antenna id -> (record indices, values) ranked by attenuation
-    ascending with ties by record index; it is only present after
-    ``build_per_antenna_tables`` and only meaningful in the attenuation
-    domain. Treat datasets as immutable once tables are attached.
+    ``raw_count`` preserves the pre-deduplication record count.
     """
 
     ids: np.ndarray
@@ -57,7 +52,6 @@ class MrDataset:
     n_antennas: int
     recorded_powers: np.ndarray | None = None
     raw_count: int | None = None
-    per_antenna: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         if self.domain not in ("signal", "attenuation"):
@@ -86,10 +80,6 @@ class MrDataset:
     def serving_indices(self, i: int) -> np.ndarray:
         """Record indices whose main service antenna is i."""
         return np.flatnonzero(self.serving() == i)
-
-    def relevant_indices(self, i: int) -> np.ndarray:
-        """Record indices mentioning antenna i anywhere."""
-        return np.flatnonzero((self.ids == i).any(axis=1))
 
     def record(self, idx: int) -> MrRecord:
         m = self.ids[idx] > 0
@@ -290,26 +280,6 @@ def _has_dominator(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
         hi = min(b, lo + block)
         out[lo:hi] = (va[None, :, :] >= vb[lo:hi, None, :]).all(axis=2).any(axis=1)
     return out
-
-
-def build_per_antenna_tables(ds: MrDataset) -> MrDataset:
-    """Attach per-antenna ranked tables: record indices sorted by the record's
-    attenuation for that antenna, ascending, ties by record index."""
-    if ds.domain != "attenuation":
-        raise ValueError("per-antenna tables are ranked by attenuation")
-    tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    rows, cols = np.nonzero(ds.ids > 0)
-    aids = ds.ids[rows, cols]
-    vals = ds.values[rows, cols]
-    order = np.lexsort((rows, vals, aids))
-    aids, rows, vals = aids[order], rows[order], vals[order]
-    bounds = np.flatnonzero(np.diff(aids)) + 1
-    for chunk_rows, chunk_vals, aid in zip(
-            np.split(rows, bounds), np.split(vals, bounds),
-            aids[np.concatenate([[0], bounds])] if len(aids) else []):
-        tables[int(aid)] = (chunk_rows.astype(np.int64), chunk_vals)
-    ds.per_antenna = tables
-    return ds
 
 
 def sample_for_jacobian(ds: MrDataset, i: int, n_s: int, seed: int = 0) -> np.ndarray:

@@ -3,7 +3,6 @@ pathloss with frozen shadowing, and strongest-pilot user assignment."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,20 +109,11 @@ class TrafficScenario:
         return len(self.periods)
 
 
-@dataclass(frozen=True)
-class UserSample:
-    """One Monte-Carlo user: planar position, per-antenna attenuation (dB), demand."""
-
-    position: tuple[float, float]
-    attenuation: tuple[float, ...]
-    demand: int
-
-
 class UserBatch:
     """Array-backed batch of users for one period.
 
-    Behaves as a sequence of ``UserSample``; the attenuation matrix (U x n)
-    is frozen at sampling time, so shadowing is constant for the period.
+    ``len`` is the user count; the attenuation matrix (U x n) is frozen at
+    sampling time, so shadowing is constant for the period.
     """
 
     def __init__(self, positions: np.ndarray, attenuation: np.ndarray,
@@ -137,11 +127,6 @@ class UserBatch:
 
     def __len__(self) -> int:
         return len(self.demand)
-
-    def __getitem__(self, idx: int) -> UserSample:
-        return UserSample(tuple(self.positions[idx]),
-                          tuple(self.attenuation[idx]),
-                          int(self.demand[idx]))
 
     @property
     def n_antennas(self) -> int:
@@ -280,17 +265,6 @@ def assign_users(users: UserBatch, powers: np.ndarray) -> np.ndarray:
 def total_traffic(users: UserBatch) -> int:
     """Network traffic of the period: sum of integer user demands."""
     return int(users.demand.sum())
-
-
-def save_users_csv(users: UserBatch, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["user_id", "x", "y", "demand", "period"])
-        for idx in range(len(users)):
-            w.writerow([idx + 1,
-                        repr(float(users.positions[idx, 0])),
-                        repr(float(users.positions[idx, 1])),
-                        int(users.demand[idx]), users.period])
 
 
 def scenario_from_dict(d: dict) -> TrafficScenario:

@@ -24,7 +24,7 @@ from breathenet.jacobian import (
     support_graph,
 )
 from breathenet.model import AlgorithmConfig
-from breathenet.mrdata import build_per_antenna_tables, generate_mr, remove_redundant, to_attenuation
+from breathenet.mrdata import generate_mr, remove_redundant, to_attenuation
 from breathenet.synth import (
     _bbox,
     _prb_for,
@@ -233,8 +233,7 @@ def test_c08_coverage_evaluation_and_search_at_scale():
                                              total_users=60000, seed=77)
     users = sample_users(scenario, pathloss, topo, 1)
     p = topo.initial_powers()
-    ds = build_per_antenna_tables(
-        remove_redundant(to_attenuation(generate_mr(users, p, 6), p)))
+    ds = remove_redundant(to_attenuation(generate_mr(users, p, 6), p))
 
     def brute_force(powers, r_c):
         covered = sum(

@@ -18,7 +18,7 @@ from breathenet.balancer import (
 from breathenet.coverage import ExactNeighbourhoodEvaluator, InfeasibleCoverage
 from breathenet.jacobian import approx_from_matrix
 from breathenet.model import AlgorithmConfig, Antenna, NetworkTopology
-from breathenet.mrdata import build_per_antenna_tables, generate_mr, to_attenuation
+from breathenet.mrdata import generate_mr, to_attenuation
 from breathenet.traffic import UserBatch
 
 
@@ -207,7 +207,7 @@ def step_inputs(att, r=100, r_c=-120.0, **cfg_kw):
     users = batch_from_attenuation(att)
     p = topo.initial_powers()
     mr = generate_mr(users, p, 6)
-    cov = build_per_antenna_tables(to_attenuation(mr, p))
+    cov = to_attenuation(mr, p)
     cfg = AlgorithmConfig(r_c=r_c, **cfg_kw)
     evaluator = ExactNeighbourhoodEvaluator(cov, cfg.r_c)
     return topo, p, users, mr, evaluator, cfg

@@ -7,7 +7,6 @@ from breathenet.busy import (
     ZeroTraffic,
     busy_degrees,
     disagreement,
-    relative_busy,
     targets,
 )
 from breathenet.model import Antenna, NetworkTopology
@@ -124,33 +123,3 @@ class TestDisagreement:
     def test_non_positive_target_raises(self):
         with pytest.raises(ZeroTraffic):
             disagreement(np.array([0.1]), np.array([0.0]))
-
-
-class TestRelativeBusy:
-    def test_perfect_balance_gives_ones(self):
-        topo = make_topo([10, 30])
-        z = 8.0
-        f = np.full(2, z / topo.prb_vector().sum())
-        np.testing.assert_allclose(relative_busy(f, z, topo), [1.0, 1.0],
-                                   atol=1e-15)
-
-    def test_scale_invariance(self):
-        topo = make_topo([7, 13, 5])
-        f = np.array([0.2, 0.5, 0.9])
-        z = float(np.dot(f, topo.prb_vector()))
-        np.testing.assert_allclose(relative_busy(2 * f, 2 * z, topo),
-                                   relative_busy(f, z, topo), atol=1e-15)
-
-    def test_weighted_mean_is_one(self):
-        rng = np.random.default_rng(3)
-        topo = make_topo([12, 44, 9, 27])
-        f = rng.uniform(0.1, 0.8, size=4)
-        r = topo.prb_vector()
-        z = float(np.dot(f, r))
-        rel = relative_busy(f, z, topo)
-        assert np.dot(rel, r) / r.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_traffic_raises(self):
-        topo = make_topo([10])
-        with pytest.raises(ZeroTraffic):
-            relative_busy(np.array([0.0]), 0.0, topo)

@@ -3,24 +3,26 @@ and the per-antenna surrogate family."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from breathenet.coverage import (
     ExactNeighbourhoodEvaluator,
     InfeasibleCoverage,
     build_fail_graph,
+    covered,
     exact_coverage,
     load_surrogate_set,
     min_power_search,
-    neighbourhood_coverage,
     save_surrogate_set,
     train_neighbourhood_surrogates,
 )
 from breathenet.model import Antenna, NetworkTopology
 from breathenet.mrdata import (
     MrRecord,
-    build_per_antenna_tables,
     dataset_from_records,
     generate_mr,
+    remove_redundant,
     to_attenuation,
 )
 from breathenet.traffic import UserBatch
@@ -35,9 +37,8 @@ def make_topo(n, p=40.0, p_max=49.0, neighbours=None):
 
 
 def att_dataset(records, n):
-    ds = dataset_from_records([MrRecord(tuple(r)) for r in records],
-                              "attenuation", n)
-    return build_per_antenna_tables(ds)
+    return dataset_from_records([MrRecord(tuple(r)) for r in records],
+                                "attenuation", n)
 
 
 def random_dataset(rng, k, n, max_entries=3, lo=50.0, hi=110.0):
@@ -51,13 +52,14 @@ def random_dataset(rng, k, n, max_entries=3, lo=50.0, hi=110.0):
 
 
 def brute_force_coverage(ds, powers, r_c):
-    """Double loop over records and entries."""
-    covered = 0
+    """Double loop over records and entries; F = 1 - uncovered / K', which
+    can differ from covered / K' in the last bit (12/17 vs 1 - 5/17)."""
+    uncovered = 0
     for idx in range(len(ds)):
         rec = ds.record(idx)
-        if any(v <= powers[aid - 1] - r_c for aid, v in rec.entries):
-            covered += 1
-    return covered / len(ds) if len(ds) else 1.0
+        if not any(v <= powers[aid - 1] - r_c for aid, v in rec.entries):
+            uncovered += 1
+    return 1.0 - uncovered / len(ds) if len(ds) else 1.0
 
 
 def brute_force_neighbourhood(ds, powers, i, r_c):
@@ -70,6 +72,32 @@ def brute_force_neighbourhood(ds, powers, i, r_c):
         if any(v <= powers[aid - 1] - r_c for aid, v in rec.entries):
             hits += 1
     return hits / total if total else 1.0
+
+
+def neighbourhood_rate(ds, powers, i, r_c):
+    return ExactNeighbourhoodEvaluator(ds, r_c).rates(powers)[i - 1]
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def att_batches(draw):
+    """Small attenuation batches with powers and r_c on a 1 dB grid, so
+    entries sit exactly on a coverage cut and records duplicate or dominate
+    one another often."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 24))
+    levels = 60.0 + np.arange(draw(st.integers(1, 10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records = []
+    for _ in range(k):
+        size = int(rng.integers(1, min(3, n) + 1))
+        ids = rng.choice(n, size=size, replace=False) + 1
+        records.append(tuple(zip(ids.tolist(), rng.choice(levels, size).tolist())))
+    powers = rng.integers(36, 45, size=n).astype(float)
+    return att_dataset(records, n), powers, -25.0
 
 
 class RecordingEvaluator:
@@ -108,14 +136,34 @@ class TestExactCoverage:
             rep = exact_coverage(ds, p, r_c)
             assert rep.F == brute_force_coverage(ds, p, r_c)
 
+    @PROPERTY
+    @given(att_batches())
+    def test_matches_brute_force_on_drawn_batches(self, batch):
+        ds, p, r_c = batch
+        assert exact_coverage(ds, p, r_c).F == brute_force_coverage(ds, p, r_c)
+
+    @PROPERTY
+    @given(att_batches())
+    def test_redundancy_removal_keeps_a_dominating_record(self, batch):
+        # a kept record listing a subset of the antennas, each at >= the
+        # attenuation, is covered only if the dropped one is
+        ds, p, r_c = batch
+        kept = remove_redundant(ds)
+        survivors = [dict(kept.record(r).entries) for r in range(len(kept))]
+        for row in range(len(ds)):
+            rec = dict(ds.record(row).entries)
+            assert any(a.keys() <= rec.keys() and all(a[i] >= rec[i] for i in a)
+                       for a in survivors)
+        assert covered(ds, p, r_c).all() == covered(kept, p, r_c).all()
+
     def test_empty_batch_warns(self):
         ds = att_dataset([], 2)
         with pytest.warns(UserWarning):
             rep = exact_coverage(ds, np.array([40.0, 40.0]), r_c=-90.0)
         assert rep.F == 1.0
 
-    def test_needs_tables_and_matching_length(self):
-        ds = dataset_from_records([MrRecord(((1, 60.0),))], "attenuation", 1)
+    def test_needs_attenuation_domain_and_matching_length(self):
+        ds = dataset_from_records([MrRecord(((1, -20.0),))], "signal", 1)
         with pytest.raises(ValueError):
             exact_coverage(ds, np.array([40.0]), r_c=-90.0)
         with pytest.raises(ValueError):
@@ -126,7 +174,7 @@ class TestExactCoverage:
                           np.full((5, 2), 70.0) + np.arange(10).reshape(5, 2),
                           np.ones(5, dtype=np.int64), period=1)
         p = np.array([40.0, 40.0])
-        ds = build_per_antenna_tables(to_attenuation(generate_mr(users, p, 2), p))
+        ds = to_attenuation(generate_mr(users, p, 2), p)
         with pytest.warns(UserWarning, match="away from"):
             exact_coverage(ds, p + 7.0, r_c=-90.0)
 
@@ -134,29 +182,28 @@ class TestExactCoverage:
 class TestNeighbourhoodCoverage:
     def test_isolated_antenna_fully_covered(self):
         ds = att_dataset([[(1, 60.0)], [(1, 65.0)], [(2, 200.0)]], 2)
-        assert neighbourhood_coverage(ds, np.array([40.0, 40.0]), 1, -30.0) == 1.0
+        assert neighbourhood_rate(ds, np.array([40.0, 40.0]), 1, -30.0) == 1.0
 
     def test_heavy_attenuation_zero_rate(self):
         ds = att_dataset([[(1, 200.0)], [(1, 190.0)]], 1)
-        assert neighbourhood_coverage(ds, np.array([0.0]), 1, -30.0) == 0.0
+        assert neighbourhood_rate(ds, np.array([0.0]), 1, -30.0) == 0.0
 
     def test_matches_restricted_brute_force(self):
         rng = np.random.default_rng(51)
         ds = random_dataset(rng, 800, 5)
         p = rng.uniform(38.0, 44.0, size=5)
         for i in range(1, 6):
-            got = neighbourhood_coverage(ds, p, i, -45.0)
+            got = neighbourhood_rate(ds, p, i, -45.0)
             assert got == brute_force_neighbourhood(ds, p, i, -45.0)
 
     def test_listed_peer_can_cover(self):
         # the record listing antenna 1 is rescued by its antenna-2 entry
         ds = att_dataset([[(1, 99.0), (2, 60.0)]], 2)
-        assert neighbourhood_coverage(ds, np.array([40.0, 40.0]), 1, -30.0) == 1.0
+        assert neighbourhood_rate(ds, np.array([40.0, 40.0]), 1, -30.0) == 1.0
 
-    def test_unmentioned_antenna_warns_and_reports_one(self):
+    def test_unmentioned_antenna_reports_one(self):
         ds = att_dataset([[(1, 60.0)]], 2)
-        with pytest.warns(UserWarning, match="mentioned by no record"):
-            assert neighbourhood_coverage(ds, np.array([40.0, 40.0]), 2, -90.0) == 1.0
+        assert neighbourhood_rate(ds, np.array([40.0, 40.0]), 2, -90.0) == 1.0
 
 
 class TestEvaluator:
@@ -168,7 +215,7 @@ class TestEvaluator:
             p = rng.uniform(36.0, 46.0, size=5)
             got = evaluator.rates(p)
             for i in range(1, 6):
-                assert got[i - 1] == neighbourhood_coverage(ds, p, i, -45.0)
+                assert got[i - 1] == brute_force_neighbourhood(ds, p, i, -45.0)
 
     def test_members_cover_co_listed_antennas(self):
         ds = att_dataset([[(1, 60.0), (3, 70.0)], [(2, 65.0)]], 3)
@@ -176,6 +223,27 @@ class TestEvaluator:
         assert evaluator.members[0] == [1, 3]
         assert evaluator.members[1] == [2]
         assert evaluator.neighbours[0] == {3}
+
+
+    @PROPERTY
+    @given(att_batches())
+    def test_rates_match_brute_force_on_drawn_batches(self, batch):
+        ds, p, r_c = batch
+        got = ExactNeighbourhoodEvaluator(ds, r_c).rates(p)
+        want = [brute_force_neighbourhood(ds, p, i, r_c)
+                for i in range(1, ds.n_antennas + 1)]
+        np.testing.assert_array_equal(got, want)
+
+    @PROPERTY
+    @given(att_batches(), st.data())
+    def test_coverage_is_monotone_in_each_power(self, batch, data):
+        ds, p, r_c = batch
+        up = p.copy()
+        up[data.draw(st.integers(0, len(p) - 1))] += data.draw(
+            st.sampled_from([0.5, 1.0, 4.0]))
+        evaluator = ExactNeighbourhoodEvaluator(ds, r_c)
+        assert exact_coverage(ds, p, r_c).F <= exact_coverage(ds, up, r_c).F
+        assert (evaluator.rates(p) <= evaluator.rates(up)).all()
 
 
 class TestFailGraph:
@@ -300,6 +368,22 @@ class TestMinPowerSearch:
         assert (evaluator.rates(got) >= 0.999).all()
         assert (got >= topo.initial_powers()).all()
         assert (got <= topo.p_max_vector()).all()
+
+
+    @PROPERTY
+    @given(att_batches(), st.sampled_from([40.0, 42.0, 46.0]),
+           st.sampled_from([0.5, 0.9, 0.999, 1.0]), st.sampled_from([1.0, 2.5]))
+    def test_result_meets_the_floor_or_raises(self, batch, p_max, f_con, delta_p):
+        ds, p, r_c = batch
+        topo = make_topo(ds.n_antennas, p=36.0, p_max=p_max)
+        start = np.minimum(p, p_max)
+        evaluator = ExactNeighbourhoodEvaluator(ds, r_c)
+        try:
+            got = min_power_search(start, topo, evaluator, f_con, delta_p)
+        except InfeasibleCoverage:
+            return
+        assert (got >= start).all() and (got <= p_max).all()
+        assert (evaluator.rates(got) >= f_con).all()
 
 
 class TestSurrogateFamily:

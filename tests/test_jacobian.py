@@ -8,7 +8,6 @@ from breathenet.jacobian import (
     approx_from_matrix,
     estimate_jacobian,
     laplacian_check,
-    save_triplets,
     support_graph,
 )
 from breathenet.model import AlgorithmConfig, Antenna, NetworkTopology
@@ -243,14 +242,3 @@ class TestLaplacianCheck:
         approx = approx_from_matrix(a / f_bar[:, None])
         rep = laplacian_check(approx, f_bar)
         np.testing.assert_allclose(rep.row_sums, [0.0, 0.0], atol=1e-15)
-
-
-def test_save_triplets_layout(tmp_path):
-    approx = approx_from_matrix(np.array([[1.5, 0.0], [-0.5, 2.0]]))
-    path = tmp_path / "jac.csv"
-    save_triplets(approx, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i,j,value"
-    assert lines[1] == "1,1,1.5"
-    assert lines[2] == "2,1,-0.5"
-    assert lines[3] == "2,2,2.0"

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from breathenet.harness import _BUNDLES
 from breathenet.model import (
     AlgorithmConfig,
     Antenna,
     ConfigError,
     NetworkTopology,
-    SimulationClock,
     dbm_to_watts,
     symmetrize,
     topology_from_dict,
@@ -60,6 +60,11 @@ class TestAntennaValidation:
     def test_pilot_above_rated_rejected(self):
         with pytest.raises(ConfigError):
             Antenna(id=1, p=50.0, p_max=49.0, r=100)
+
+    @pytest.mark.parametrize("p", [0.0, -3.0, float("nan")])
+    def test_pilot_must_be_positive_dbm(self, p):
+        with pytest.raises(ConfigError, match="antenna 7: pilot power"):
+            Antenna(id=7, p=p, p_max=49.0, r=100)
 
     def test_prb_must_be_positive_integer(self):
         with pytest.raises(ConfigError):
@@ -144,27 +149,6 @@ class TestTopologyValidation:
         assert topo.neighbours[1] == frozenset({1, 3})
 
 
-class TestSimulationClock:
-    def test_defaults(self):
-        clock = SimulationClock()
-        assert clock.k == 1 and clock.T == 3600.0 and clock.H == 1.0
-
-    def test_period_index_starts_at_one(self):
-        with pytest.raises(ConfigError):
-            SimulationClock(k=0)
-
-    def test_t_must_be_multiple_of_h(self):
-        SimulationClock(T=10.0, H=2.5)  # fine: ratio 4
-        with pytest.raises(ConfigError):
-            SimulationClock(T=10.0, H=3.0)
-
-    def test_positive_durations(self):
-        with pytest.raises(ConfigError):
-            SimulationClock(T=-1.0)
-        with pytest.raises(ConfigError):
-            SimulationClock(H=0.0)
-
-
 class TestAlgorithmConfig:
     def test_defaults(self):
         cfg = AlgorithmConfig()
@@ -179,7 +163,7 @@ class TestAlgorithmConfig:
     @pytest.mark.parametrize("field,value", [
         ("epsilon", 0.0), ("gamma", 0.0), ("gamma", 1.5), ("tau", -0.1),
         ("delta_p", 0.0), ("n_s", 0), ("f_con", 0.0), ("f_con", 1.1),
-        ("target_mode", "median"), ("top_m", 0), ("coverage_mode", "magic"),
+        ("target_mode", "median"), ("top_m", 0),
         ("coverage_sample", -1), ("svd_cutoff", 1.0), ("svd_cutoff", -0.1),
     ])
     def test_rejects_bad_values(self, field, value):
@@ -221,6 +205,17 @@ class TestTopologySerialization:
         path = tmp_path / "topo.json"
         path.write_text(json.dumps(topology_to_dict(topo)))
         assert topology_from_json(path) == topo
+
+    def test_asymmetric_neighbours_rejected(self):
+        d = topology_to_dict(make_topo(3, neighbours=[{2, 3}, {1}, set()]))
+        with pytest.raises(ConfigError, match="antenna 1 lists 3, but antenna 3"):
+            topology_from_dict(d)
+
+    @pytest.mark.parametrize("name", sorted(_BUNDLES))
+    def test_bundle_topologies_pass_validation(self, name):
+        # two-island is disconnected by design; only symmetry is enforced
+        topo = _BUNDLES[name]().topo
+        assert topology_from_dict(topology_to_dict(topo)) == topo
 
     def test_missing_antennas_block(self):
         with pytest.raises(ConfigError):

@@ -9,7 +9,6 @@ from scipy import stats
 
 from breathenet.mrdata import (
     MrRecord,
-    build_per_antenna_tables,
     co_neighbours,
     dataset_from_records,
     generate_mr,
@@ -278,41 +277,6 @@ class TestRedundancyDeletion:
         ds = dataset_from_records([MrRecord(((1, 20.0),))], "signal", 1)
         with pytest.raises(ValueError):
             remove_redundant(ds)
-
-
-class TestPerAntennaTables:
-    def test_two_records_sorted_by_attenuation(self):
-        ds = dataset_from_records([MrRecord(((1, 7.0),)), MrRecord(((1, 3.0),))],
-                                  "attenuation", 2)
-        ds = build_per_antenna_tables(ds)
-        idx, vals = ds.per_antenna[1]
-        np.testing.assert_array_equal(idx, [1, 0])
-        np.testing.assert_array_equal(vals, [3.0, 7.0])
-
-    def test_unmentioned_antenna_has_no_table(self):
-        ds = build_per_antenna_tables(
-            dataset_from_records([MrRecord(((1, 7.0),))], "attenuation", 3))
-        assert 2 not in ds.per_antenna and 3 not in ds.per_antenna
-
-    def test_matches_full_sort_oracle(self):
-        rng = np.random.default_rng(4)
-        users = batch_from_attenuation(rng.uniform(60, 110, size=(500, 5)))
-        p = np.array([40.0] * 5)
-        ds = build_per_antenna_tables(to_attenuation(generate_mr(users, p, 3), p))
-        for aid, (idx, vals) in ds.per_antenna.items():
-            pairs = []
-            for row in range(len(ds)):
-                hit = np.flatnonzero(ds.ids[row] == aid)
-                if len(hit):
-                    pairs.append((float(ds.values[row, hit[0]]), row))
-            pairs.sort()
-            np.testing.assert_array_equal(idx, [r for _, r in pairs])
-            np.testing.assert_array_equal(vals, [v for v, _ in pairs])
-
-    def test_signal_domain_rejected(self):
-        ds = dataset_from_records([MrRecord(((1, 20.0),))], "signal", 1)
-        with pytest.raises(ValueError):
-            build_per_antenna_tables(ds)
 
 
 class TestJacobianSampling:

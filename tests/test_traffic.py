@@ -13,7 +13,6 @@ from breathenet.traffic import (
     assign_users,
     block_rows,
     sample_users,
-    save_users_csv,
     scenario_from_dict,
     scenario_to_dict,
     total_traffic,
@@ -224,17 +223,6 @@ class TestTotalTraffic:
         scenario = one_period(500, [Hotspot((0, 0), 1.0, 200.0)])
         users = sample_users(scenario, PathlossModel(), topo, 1)
         assert total_traffic(users) == 500
-
-
-def test_users_csv_layout(tmp_path):
-    topo = line_topo(2)
-    scenario = one_period(5, [Hotspot((0, 0), 1.0, 100.0)], seed=3)
-    users = sample_users(scenario, PathlossModel(), topo, 1)
-    path = tmp_path / "users.csv"
-    save_users_csv(users, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "user_id,x,y,demand,period"
-    assert len(lines) == 6
 
 
 def unblocked_attenuation(positions, sites, model, k):
