@@ -46,11 +46,11 @@ class DegenerateDiagonal(RuntimeError):
 
 def _zero_sum_basis(n: int) -> np.ndarray:
     """Orthonormal Helmert-style basis of the zero-sum subspace, (n, n-1)."""
-    basis = np.zeros((n, n - 1))
-    for k in range(1, n):
-        basis[:k, k - 1] = 1.0
-        basis[k, k - 1] = -float(k)
-        basis[:, k - 1] /= np.sqrt(k * (k + 1.0))
+    k = np.arange(1, n, dtype=float)
+    s = np.sqrt(k * (k + 1.0))
+    # column k-1: 1/s in rows < k, -k/s in row k, zero below
+    basis = np.triu(np.broadcast_to(1.0 / s, (n, n - 1)))
+    basis[np.arange(1, n), np.arange(n - 1)] = -k / s
     return basis
 
 
@@ -62,14 +62,17 @@ def bdba_solve(approx: JacobianApprox, d: np.ndarray,
     Dense path: SVD of the estimate restricted to the zero-sum basis.
     Structural rank below n - 1 at tolerance rtol * sigma_max
     (rtol = 1e-10 * n) raises SingularJacobian: the record support does not
-    connect the network. Separately, directions weaker than ``cutoff`` times
-    the largest singular value are dropped from the solve; the estimate is
-    Monte Carlo sampled and those directions carry more noise than signal,
-    producing adjustments far outside the perturbation range the estimate
-    was built from. The left-over disagreement is picked up on later
-    periods. Above ``dense_limit`` antennas a damped-Jacobi relaxation on
-    the sparse system is used instead (early stopping plays the same
-    noise-suppressing role there).
+    connect the network. Two or more empty rows, or two or more empty
+    columns, bound the rank by n - 2, so that verdict is reached before the
+    SVD (stored zeros count as entries and leave the decision to it).
+    Separately, directions weaker than ``cutoff`` times the largest singular
+    value are dropped from the solve; the estimate is Monte Carlo sampled and
+    those directions carry more noise than signal, producing adjustments far
+    outside the perturbation range the estimate was built from. The
+    left-over disagreement is picked up on later periods. Above
+    ``dense_limit`` antennas a damped-Jacobi relaxation on the sparse system
+    is used instead (early stopping plays the same noise-suppressing role
+    there).
     """
     n = approx.n
     d = np.asarray(d, dtype=float)
@@ -81,7 +84,11 @@ def bdba_solve(approx: JacobianApprox, d: np.ndarray,
     if n > dense_limit:
         return _relaxation_solve(approx, d)
 
-    a = approx.matrix.toarray()
+    csr = approx.matrix.tocsr()
+    if ((np.diff(csr.indptr) == 0).sum() >= 2
+            or (np.bincount(csr.indices, minlength=n) == 0).sum() >= 2):
+        raise SingularJacobian(support_graph(approx).components)
+    a = csr.toarray()
     basis = _zero_sum_basis(n)
     u_svd, sigma, vt = np.linalg.svd(a @ basis, full_matrices=False)
     sigma_max = sigma[0] if len(sigma) else 0.0

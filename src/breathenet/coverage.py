@@ -159,9 +159,11 @@ def min_power_search(powers: np.ndarray, topo: NetworkTopology, evaluator,
 
     Per round, each connected component of failing antennas has its
     minimum-rate member still below rated power raised by delta_p (ties by
-    lowest id). Raises InfeasibleCoverage when a failing component has every
-    member pinned at p_max. Rounds are bounded by
-    sum_i ceil((p_max_i - start_i) / delta_p).
+    lowest id). When every member is pinned at p_max, the minimum-rate
+    co-listed neighbour of the component still below rated power is raised
+    instead: its reach can cover the component's uncovered records. Raises
+    InfeasibleCoverage when no such neighbour exists either. Rounds are
+    bounded by sum_i ceil((p_max_i - start_i) / delta_p).
     """
     p = np.asarray(powers, dtype=float).copy()
     p_max = topo.p_max_vector()
@@ -175,13 +177,22 @@ def min_power_search(powers: np.ndarray, topo: NetworkTopology, evaluator,
         graph = build_fail_graph(rates, f_con, evaluator.neighbours)
         if not graph.vertices:
             return p
+        raise_ids = set()
         for comp in graph.components:
             open_members = [a for a in comp if p[a - 1] < p_max[a - 1]]
             if not open_members:
+                # every member is at p_max; a co-listed neighbour below it
+                # can still reach the records the members fail on
+                listed = set().union(*(evaluator.neighbours[b - 1] for b in comp))
+                open_members = [a for a in listed if p[a - 1] < p_max[a - 1]]
+            if not open_members:
                 raise InfeasibleCoverage(
-                    comp, "component still failing with all members at rated power")
-            target = min(open_members, key=lambda a: (rates[a - 1], a))
-            p[target - 1] = min(p[target - 1] + delta_p, p_max[target - 1])
+                    comp, "component still failing with all members and "
+                    "co-listed neighbours at rated power")
+            raise_ids.add(min(open_members, key=lambda a: (rates[a - 1], a)))
+        # two components can pick the same neighbour; it moves one step
+        for a in raise_ids:
+            p[a - 1] = min(p[a - 1] + delta_p, p_max[a - 1])
     graph = build_fail_graph(evaluator.rates(p), f_con, evaluator.neighbours)
     if graph.vertices:
         raise InfeasibleCoverage(graph.vertices, "round bound exhausted")

@@ -93,6 +93,9 @@ def estimate_jacobian(ds: MrDataset, powers: np.ndarray, f: np.ndarray,
     if ds.domain != "signal":
         raise ValueError("jacobian estimation needs signal-domain records")
     n = topo.n
+    if ds.n_antennas != n:
+        raise ValueError(f"records cover {ds.n_antennas} antennas, "
+                         f"the topology {n}")
     powers = np.asarray(powers, dtype=float)
     f = np.asarray(f, dtype=float)
     f_bar = np.asarray(f_bar, dtype=float)
@@ -105,44 +108,40 @@ def estimate_jacobian(ds: MrDataset, powers: np.ndarray, f: np.ndarray,
     serving = ds.serving()
     serving_counts = np.bincount(serving, minlength=n + 1)[1:] if len(serving) \
         else np.zeros(n, dtype=np.int64)
-    sampled_rows = []
-    sample_sizes = np.zeros(n, dtype=np.int64)
-    for i in range(1, n + 1):
-        rows = sample_for_jacobian(ds, i, cfg.n_s, seed=seed)
-        sample_sizes[i - 1] = len(rows)
-        if len(rows):
-            sampled_rows.append(rows)
+    rows, sample_sizes = sample_for_jacobian(ds, cfg.n_s, seed=seed)
     empty = tuple(int(i + 1) for i in np.flatnonzero(sample_sizes == 0))
     if empty:
         warnings.warn(f"antennas without serving records: {empty}; "
                       "their jacobian rows are zero")
 
-    dminus = np.zeros((n + 1, n + 1))
-    dplus = np.zeros((n + 1, n + 1))
-    if sampled_rows:
-        rows = np.concatenate(sampled_rows)
-        ids = ds.ids[rows]
-        vals = ds.values[rows]
-        srv = ids[:, 0].astype(np.int64)
-        m = ids.shape[1]
-        if m > 1:
-            # down-shift: the strongest competitor is column 1 (entries are
-            # sorted by value desc, ties by id asc), so it wins or nobody does
-            j1 = ids[:, 1].astype(np.int64)
-            has = j1 > 0
-            lowered = vals[:, 0] - eps * powers[srv - 1]
-            win = has & ((vals[:, 1] > lowered)
-                         | ((vals[:, 1] == lowered) & (j1 < srv)))
-            np.add.at(dminus, (srv[win], j1[win]), 1.0)
-            # up-shift: a boosted competitor must strictly beat every entry,
-            # and column 0 holds the row maximum
-            for c in range(1, m):
-                jc = ids[:, c].astype(np.int64)
-                has = jc > 0
-                boosted = np.where(has, vals[:, c] + eps * powers[np.where(has, jc, 1) - 1],
-                                   -np.inf)
-                win = has & (boosted > vals[:, 0])
-                np.add.at(dplus, (srv[win], jc[win]), 1.0)
+    # switch counts keyed by the flat (n+1)^2 cell (serving i, competitor j)
+    ids = ds.ids[rows]
+    vals = ds.values[rows]
+    srv = ids[:, 0].astype(np.int64)
+    m = ids.shape[1]
+    down = up = np.zeros(0, dtype=np.int64)
+    if m > 1:
+        # down-shift: the strongest competitor is column 1 (entries are
+        # sorted by value desc, ties by id asc), so it wins or nobody does
+        j1 = ids[:, 1].astype(np.int64)
+        has = j1 > 0
+        lowered = vals[:, 0] - eps * powers[srv - 1]
+        win = has & ((vals[:, 1] > lowered)
+                     | ((vals[:, 1] == lowered) & (j1 < srv)))
+        down = srv[win] * (n + 1) + j1[win]
+        # up-shift: a boosted competitor must strictly beat every entry,
+        # and column 0 holds the row maximum
+        keys = []
+        for c in range(1, m):
+            jc = ids[:, c].astype(np.int64)
+            has = jc > 0
+            boosted = np.where(has, vals[:, c] + eps * powers[np.where(has, jc, 1) - 1],
+                               -np.inf)
+            win = has & (boosted > vals[:, 0])
+            keys.append(srv[win] * (n + 1) + jc[win])
+        up = np.concatenate(keys)
+    dminus = np.bincount(down, minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
+    dplus = np.bincount(up, minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
 
     denom = np.maximum(sample_sizes, 1).astype(float)
     rminus = dminus[1:, 1:] / denom[:, None]

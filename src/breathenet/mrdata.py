@@ -77,10 +77,6 @@ class MrDataset:
             return np.zeros(0, dtype=np.int64)
         return self.ids[:, 0].astype(np.int64)
 
-    def serving_indices(self, i: int) -> np.ndarray:
-        """Record indices whose main service antenna is i."""
-        return np.flatnonzero(self.serving() == i)
-
     def record(self, idx: int) -> MrRecord:
         m = self.ids[idx] > 0
         return MrRecord(tuple(zip(self.ids[idx, m].tolist(),
@@ -282,21 +278,37 @@ def _has_dominator(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_for_jacobian(ds: MrDataset, i: int, n_s: int, seed: int = 0) -> np.ndarray:
-    """Uniformly sample up to n_s serving-record indices of antenna i.
+def sample_for_jacobian(ds: MrDataset, n_s: int,
+                        seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Uniformly sample up to n_s serving-record indices of every antenna.
 
-    Without replacement, deterministic given (seed, i); returns the full set
-    (in order) when it has at most n_s records.
+    Returns ``(rows, sizes)``: ``rows`` holds antenna 1's sampled record
+    indices in ascending order, then antenna 2's, and so on; ``sizes[i-1]``
+    is how many antenna i got. An antenna with at most n_s serving records
+    keeps them all; a larger set is sampled without replacement,
+    deterministically given (seed, i).
     """
     if n_s < 1:
         raise ValueError("n_s must be at least 1")
-    rows = ds.serving_indices(i)
-    if len(rows) <= n_s:
-        return rows
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-    pick = rng.choice(len(rows), size=n_s, replace=False)
-    pick.sort()
-    return rows[pick]
+    n = ds.n_antennas
+    serving = ds.serving()
+    counts = np.bincount(serving, minlength=n + 1)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    # a stable sort keeps each antenna's records in ascending order, and
+    # antennas 1..n occupy one contiguous run of it
+    order = np.argsort(serving, kind="stable")
+    keep = np.zeros(len(order), dtype=bool)
+    keep[starts[1]:ends[n]] = True
+    for i in np.flatnonzero(counts[1:n + 1] > n_s) + 1:
+        lo, hi = starts[i], ends[i]
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(int(i),)))
+        pick = rng.choice(hi - lo, size=n_s, replace=False)
+        pick.sort()
+        keep[lo:hi] = False
+        keep[lo + pick] = True
+    return order[keep], np.minimum(counts[1:n + 1], n_s)
 
 
 def co_neighbours(ds: MrDataset) -> list[set[int]]:

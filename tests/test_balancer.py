@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from breathenet.balancer import (
     DegenerateDiagonal,
@@ -16,7 +18,7 @@ from breathenet.balancer import (
     step,
 )
 from breathenet.coverage import ExactNeighbourhoodEvaluator, InfeasibleCoverage
-from breathenet.jacobian import approx_from_matrix
+from breathenet.jacobian import approx_from_matrix, support_graph
 from breathenet.model import AlgorithmConfig, Antenna, NetworkTopology
 from breathenet.mrdata import generate_mr, to_attenuation
 from breathenet.traffic import UserBatch
@@ -44,6 +46,46 @@ def random_near_laplacian(rng, n, noise=0.01, connect=False):
     return lap + noise * rng.standard_normal((n, n))
 
 
+def loop_zero_sum_basis(n):
+    """Helmert basis one column at a time: 1 above row k, -k at row k, each
+    column divided by sqrt(k (k + 1))."""
+    basis = np.zeros((n, n - 1))
+    for k in range(1, n):
+        basis[:k, k - 1] = 1.0
+        basis[k, k - 1] = -float(k)
+        basis[:, k - 1] /= np.sqrt(k * (k + 1.0))
+    return basis
+
+
+def svd_rank(a):
+    """Rank of the estimate on the zero-sum subspace, by the dense solver's
+    rule: singular values above 1e-10 * n * sigma_max."""
+    n = len(a)
+    sigma = np.linalg.svd(a @ loop_zero_sum_basis(n), full_matrices=False)[1]
+    return int((sigma > 1e-10 * n * (sigma[0] if len(sigma) else 0.0)).sum())
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def estimates_with_empty_lines(draw):
+    """Near-Laplacian or random sparse matrices, n in 2..8, with 0-3 rows and
+    0-3 columns zeroed, and a disagreement vector."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a = random_near_laplacian(rng, n, noise=draw(st.sampled_from([0.0, 0.01])),
+                                  connect=draw(st.booleans()))
+    else:
+        a = np.where(rng.random((n, n)) < draw(st.sampled_from([0.2, 0.5, 0.9])),
+                     rng.uniform(-1.0, 1.0, size=(n, n)), 0.0)
+    a[rng.choice(n, size=min(n, draw(st.integers(0, 3))), replace=False), :] = 0.0
+    a[:, rng.choice(n, size=min(n, draw(st.integers(0, 3))), replace=False)] = 0.0
+    return a, rng.standard_normal(n)
+
+
 class TestZeroSumBasis:
     def test_orthonormal_and_orthogonal_to_ones(self):
         for n in (2, 5, 9):
@@ -52,6 +94,10 @@ class TestZeroSumBasis:
             np.testing.assert_allclose(basis.T @ basis, np.eye(n - 1),
                                        atol=1e-12)
             np.testing.assert_allclose(np.ones(n) @ basis, 0.0, atol=1e-12)
+
+    def test_equals_the_column_loop(self):
+        for n in (2, 3, 50):
+            assert np.array_equal(_zero_sum_basis(n), loop_zero_sum_basis(n))
 
 
 class TestPseudoinverseSolve:
@@ -135,6 +181,31 @@ class TestPseudoinverseSolve:
         with pytest.raises(ValueError):
             bdba_solve(approx_from_matrix(np.eye(2)), np.zeros(3))
 
+    def test_two_empty_rows_rejected_before_the_svd(self, monkeypatch):
+        a = random_near_laplacian(np.random.default_rng(44), 6, connect=True)
+        a[[1, 4], :] = 0.0
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD reached")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        with pytest.raises(SingularJacobian):
+            bdba_solve(approx_from_matrix(a), np.zeros(6))
+
+    @PROPERTY
+    @given(estimates_with_empty_lines())
+    def test_raises_exactly_when_the_svd_rank_is_short(self, case):
+        a, d = case
+        n = len(a)
+        approx = approx_from_matrix(a)
+        if svd_rank(a) < n - 1:
+            with pytest.raises(SingularJacobian) as exc:
+                bdba_solve(approx, d)
+            assert exc.value.components == support_graph(approx).components
+        else:
+            u, _ = bdba_solve(approx, d)
+            assert abs(u.sum()) <= 1e-9 * np.abs(u).sum()
+
 
 class TestFastSolve:
     def test_plain_division_when_tau_zero(self):
@@ -164,6 +235,21 @@ class TestFastSolve:
 
 
 class TestApplyAndClamp:
+    @PROPERTY
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1),
+           st.floats(0.01, 1.0), st.sampled_from([1.0, 10.0, 1e6]))
+    def test_stays_in_the_box(self, n, seed, gamma, scale):
+        rng = np.random.default_rng(seed)
+        p_min = rng.uniform(0.0, 45.0, size=n)
+        p_max = p_min + rng.choice([0.0, 1.0, 10.0], size=n)
+        powers = rng.uniform(0.0, 50.0, size=n)
+        u = scale * rng.standard_normal(n)
+        rec = apply_and_clamp(powers, u, gamma, p_min, p_max)
+        assert (rec.p_next >= p_min).all() and (rec.p_next <= p_max).all()
+        star = powers + gamma * u
+        inside = (star >= p_min) & (star <= p_max)
+        np.testing.assert_array_equal(rec.p_next[inside], star[inside])
+
     def test_upper_clamp(self):
         p_max = np.array([49.0309])
         rec = apply_and_clamp(np.array([48.0]), np.array([5.0]), 1.0,

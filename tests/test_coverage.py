@@ -351,6 +351,20 @@ class TestMinPowerSearch:
             min_power_search(topo.initial_powers(), topo, evaluator, 0.999, 1.0)
         assert exc.value.antennas == (1,)
 
+    def test_pinned_component_raises_an_open_neighbour(self):
+        # antenna 1 fails at rated power because one record it shares with
+        # antenna 2 is reachable only through antenna 2, which can still rise
+        records = ([[(1, 60.0)]] * 4 + [[(1, 99.0), (2, 75.0)]]
+                   + [[(2, 60.0)]] * 19)
+        ds = att_dataset(records, 2)
+        topo = make_topo(2, p_max=49.0)
+        evaluator = ExactNeighbourhoodEvaluator(ds, r_c=-30.0)
+        start = np.array([49.0, 40.0])
+        np.testing.assert_array_equal(evaluator.rates(start), [0.8, 0.95])
+        got = min_power_search(start, topo, evaluator, 0.9, 1.0)
+        np.testing.assert_array_equal(got, [49.0, 45.0])
+        assert (evaluator.rates(got) >= 0.9).all()
+
     def test_start_above_rated_rejected(self):
         ds = att_dataset([[(1, 60.0)]], 1)
         topo = make_topo(1)

@@ -164,6 +164,76 @@ class TestEstimator:
         assert (got[~np.eye(3, dtype=bool)] == 0).all()
 
 
+def per_antenna_estimate(ds, powers, f, f_bar, topo, cfg, seed, diagonal_only):
+    """The estimator written per antenna: flatnonzero of the serving column,
+    the (seed, i) subsample, and np.add.at count matrices."""
+    n, eps = topo.n, cfg.epsilon
+    serving = ds.ids[:, 0].astype(np.int64)
+    sizes = np.zeros(n, dtype=np.int64)
+    dminus = np.zeros((n + 1, n + 1))
+    dplus = np.zeros((n + 1, n + 1))
+    for i in range(1, n + 1):
+        rows = np.flatnonzero(serving == i)
+        if len(rows) > cfg.n_s:
+            gen = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            pick = gen.choice(len(rows), size=cfg.n_s, replace=False)
+            pick.sort()
+            rows = rows[pick]
+        sizes[i - 1] = len(rows)
+        for row in rows:
+            ids, vals = ds.ids[row], ds.values[row]
+            if len(ids) > 1 and ids[1] > 0:
+                lowered = vals[0] - eps * powers[i - 1]
+                if vals[1] > lowered or (vals[1] == lowered and ids[1] < i):
+                    np.add.at(dminus, (i, ids[1]), 1.0)
+            for c in range(1, len(ids)):
+                if ids[c] > 0 and vals[c] + eps * powers[ids[c] - 1] > vals[0]:
+                    np.add.at(dplus, (i, ids[c]), 1.0)
+    denom = np.maximum(sizes, 1).astype(float)
+    rminus = dminus[1:, 1:] / denom[:, None]
+    rplus = dplus[1:, 1:] / denom[:, None]
+    r = topo.prb_vector()
+    mass = f * r
+    dense = np.zeros((n, n))
+    if not diagonal_only:
+        dense = -(f[:, None] * rplus + rminus.T * mass[None, :] / r[:, None]) \
+            / (2.0 * eps * powers[None, :])
+    dense[np.arange(n), np.arange(n)] = (
+        f * rminus.sum(axis=1)
+        + (rplus * mass[:, None]).sum(axis=0) / r) / (2.0 * eps * powers)
+    dense /= f_bar[:, None]
+    empty = tuple(int(i + 1) for i in np.flatnonzero(sizes == 0))
+    return dense, sizes, empty
+
+
+class TestGroupedEstimatorOracle:
+    @pytest.mark.parametrize("top_m", [1, 3, 6])
+    @pytest.mark.parametrize("diagonal_only", [False, True])
+    def test_equals_the_per_antenna_estimator(self, top_m, diagonal_only):
+        # antenna 5 serves more than n_s records, so it is subsampled;
+        # antenna 6 is 40 dB down and serves nobody
+        topo = make_topo(6, r=80)
+        rng = np.random.default_rng(17)
+        att = rng.uniform(60.0, 85.0, size=(500, 6))
+        att[:, 4] -= 6.0
+        att[:, 5] += 40.0
+        users = batch_from_attenuation(att, rng.integers(1, 4, size=500))
+        p = np.array([40.0, 41.0, 39.0, 40.5, 40.0, 42.0])
+        cfg = AlgorithmConfig(epsilon=0.1, n_s=60, top_m=top_m)
+        mr = generate_mr(users, p, top_m)
+        f = busy_degrees(mr.serving(), users, topo)
+        f_bar = targets(f, topo, cfg.target_mode)
+        with pytest.warns(UserWarning, match="without serving records"):
+            got = estimate_jacobian(mr, p, f, f_bar, topo, cfg, seed=3,
+                                    diagonal_only=diagonal_only)
+        dense, sizes, empty = per_antenna_estimate(mr, p, f, f_bar, topo, cfg,
+                                                   3, diagonal_only)
+        assert empty == (6,) and sizes[4] == cfg.n_s
+        assert np.array_equal(got.matrix.toarray(), dense)
+        assert np.array_equal(got.sample_sizes, sizes)
+        assert got.empty_rows == empty
+
+
 class TestSupportGraph:
     def test_diagonal_matrix_not_connected(self):
         sg = support_graph(approx_from_matrix(np.diag([1.0, 2.0, 3.0])))

@@ -286,17 +286,22 @@ class TestJacobianSampling:
 
     def test_small_set_returned_whole(self):
         ds = self.serving_ds([-70.0, -72.0, -68.0])
-        np.testing.assert_array_equal(sample_for_jacobian(ds, 1, 10), [0, 1, 2])
+        rows, sizes = sample_for_jacobian(ds, 10)
+        np.testing.assert_array_equal(rows, [0, 1, 2])
+        np.testing.assert_array_equal(sizes, [3])
 
     def test_exact_budget_returns_full_set(self):
         ds = self.serving_ds([-70.0, -72.0, -68.0])
-        np.testing.assert_array_equal(sample_for_jacobian(ds, 1, 3), [0, 1, 2])
+        rows, sizes = sample_for_jacobian(ds, 3)
+        np.testing.assert_array_equal(rows, [0, 1, 2])
+        np.testing.assert_array_equal(sizes, [3])
 
     def test_subsample_is_distribution_faithful(self):
         rng = np.random.default_rng(6)
         ds = self.serving_ds(rng.normal(-70.0, 5.0, size=10000))
-        rows = sample_for_jacobian(ds, 1, 100, seed=9)
+        rows, sizes = sample_for_jacobian(ds, 100, seed=9)
         assert len(rows) == 100
+        np.testing.assert_array_equal(sizes, [100])
         full = ds.values[:, 0]
         ks = stats.ks_2samp(full, ds.values[rows, 0])
         assert ks.pvalue > 0.01
@@ -304,10 +309,38 @@ class TestJacobianSampling:
     def test_deterministic_per_antenna(self):
         rng = np.random.default_rng(7)
         ds = self.serving_ds(rng.normal(-70.0, 5.0, size=500))
-        a = sample_for_jacobian(ds, 1, 50, seed=3)
-        b = sample_for_jacobian(ds, 1, 50, seed=3)
+        a, _ = sample_for_jacobian(ds, 50, seed=3)
+        b, _ = sample_for_jacobian(ds, 50, seed=3)
         np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, sample_for_jacobian(ds, 1, 50, seed=4))
+        assert not np.array_equal(a, sample_for_jacobian(ds, 50, seed=4)[0])
+
+    def test_groups_match_the_per_antenna_rule(self):
+        # interleaved serving antennas, one without records: antenna i's
+        # rows are flatnonzero(serving == i), subsampled by its own stream
+        rng = np.random.default_rng(8)
+        serving = rng.choice([1, 2, 4], size=300, p=[0.6, 0.1, 0.3])
+        recs = [MrRecord(((int(i), -70.0),)) for i in serving]
+        ds = dataset_from_records(recs, "signal", 4)
+        n_s, seed = 40, 5
+        rows, sizes = sample_for_jacobian(ds, n_s, seed=seed)
+        expected = []
+        for i in range(1, 5):
+            mine = np.flatnonzero(serving == i)
+            if len(mine) > n_s:
+                gen = np.random.default_rng(
+                    np.random.SeedSequence(seed, spawn_key=(i,)))
+                pick = gen.choice(len(mine), size=n_s, replace=False)
+                pick.sort()
+                mine = mine[pick]
+            expected.append(mine)
+        np.testing.assert_array_equal(rows, np.concatenate(expected))
+        np.testing.assert_array_equal(sizes, [len(e) for e in expected])
+        assert sizes[0] == n_s < (serving == 1).sum()
+        assert 0 < sizes[1] < n_s and sizes[2] == 0
+
+    def test_budget_validated(self):
+        with pytest.raises(ValueError):
+            sample_for_jacobian(self.serving_ds([-70.0]), 0)
 
 
 def brute_force_co_neighbours(ds):
