@@ -10,6 +10,7 @@ pilot budget unchanged even for noisy estimates.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 import warnings
@@ -28,12 +29,20 @@ DENSE_LIMIT = 2000
 
 
 class SingularJacobian(RuntimeError):
-    """The estimate has effective rank below n-1; names the support components."""
+    """The estimate has effective rank below n-1. Its support components, and
+    the message that names them, are computed on first access."""
 
-    def __init__(self, components):
-        self.components = tuple(tuple(c) for c in components)
-        super().__init__(f"jacobian support splits into {len(self.components)} "
-                         f"components: {self.components}")
+    def __init__(self, approx: JacobianApprox):
+        super().__init__(approx)
+        self.approx = approx
+
+    @functools.cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        return support_graph(self.approx).components
+
+    def __str__(self) -> str:
+        return (f"jacobian support splits into {len(self.components)} "
+                f"components: {self.components}")
 
 
 class DegenerateDiagonal(RuntimeError):
@@ -87,14 +96,14 @@ def bdba_solve(approx: JacobianApprox, d: np.ndarray,
     csr = approx.matrix.tocsr()
     if ((np.diff(csr.indptr) == 0).sum() >= 2
             or (np.bincount(csr.indices, minlength=n) == 0).sum() >= 2):
-        raise SingularJacobian(support_graph(approx).components)
+        raise SingularJacobian(approx)
     a = csr.toarray()
     basis = _zero_sum_basis(n)
     u_svd, sigma, vt = np.linalg.svd(a @ basis, full_matrices=False)
     sigma_max = sigma[0] if len(sigma) else 0.0
     rank_floor = 1e-10 * n * sigma_max
     if int((sigma > rank_floor).sum()) < n - 1:
-        raise SingularJacobian(support_graph(approx).components)
+        raise SingularJacobian(approx)
     keep = sigma >= cutoff * sigma_max
     w = vt.T[:, keep] @ ((u_svd[:, keep].T @ d) / sigma[keep])
     u = basis @ w
@@ -117,7 +126,7 @@ def _relaxation_solve(approx: JacobianApprox, d: np.ndarray,
     n = approx.n
     diag = a.diagonal()
     if (diag <= 0).any():
-        raise SingularJacobian(support_graph(approx).components)
+        raise SingularJacobian(approx)
     u = np.zeros(n)
     best_u = u.copy()
     best_res = np.inf
@@ -256,9 +265,8 @@ def step(topo: NetworkTopology, powers: np.ndarray, users: UserBatch,
         if algorithm == "bdba":
             try:
                 u, diag = bdba_solve(approx, d, cutoff=cfg.svd_cutoff)
-            except SingularJacobian as exc:
-                warnings.warn(f"period {period}: singular jacobian "
-                              f"({len(exc.components)} components), "
+            except SingularJacobian:
+                warnings.warn(f"period {period}: singular jacobian, "
                               "falling back to the diagonal balancer")
                 fallback = True
                 used = "bfdba"

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import importlib.metadata
 import json
+import os
 import platform
 import warnings
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ from .synth import ScenarioBundle, drift_bundle, proportional_bundle, random_bun
 from .traffic import (
     PathlossModel,
     TrafficScenario,
+    _sampling_workers,
     assign_users,
     pathloss_from_dict,
     pathloss_to_dict,
@@ -296,6 +298,20 @@ def _versions() -> dict:
             "scipy": scipy.__version__, "python": platform.python_version()}
 
 
+def _threads() -> dict:
+    """The user-sampling thread count, the BLAS thread settings as the
+    environment holds them (null when unset) and the BLAS build."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        blas = None
+    return {"sampling_workers": _sampling_workers(),
+            **{var: os.environ.get(var) for var in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "blas": blas}
+
+
 def write_results(result: ExperimentResult, out_dir) -> Path:
     """Write metrics.csv, steps.jsonl, busy.csv, manifest.json and one SVG
     chart per metric. Everything except wall-clock fields is reproducible
@@ -315,6 +331,7 @@ def write_results(result: ExperimentResult, out_dir) -> Path:
     manifest = {
         "spec": spec.raw if spec.raw is not None else spec_to_dict(spec),
         "versions": _versions(),
+        "threads": _threads(),
         "seeds": {"run": spec.seed, "scenario": spec.scenario.seed,
                   "pathloss": spec.pathloss.seed},
         "algorithm": spec.algorithm,

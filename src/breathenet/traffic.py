@@ -3,6 +3,11 @@ pathloss with frozen shadowing, and strongest-pilot user assignment."""
 
 from __future__ import annotations
 
+import functools
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +18,11 @@ from .model import ConfigError, NetworkTopology
 # float64): large enough that per-block overhead vanishes, small enough that
 # no temporary grows with the user count.
 BLOCK_ELEMENTS = 1 << 17
+
+# Most threads filling one period's attenuation matrix. One of them draws the
+# sequential shadowing stream, about 37% of the kernel; past three workers
+# that draw sets the pace.
+MAX_SAMPLING_WORKERS = 3
 
 
 @dataclass(frozen=True)
@@ -196,37 +206,85 @@ def block_rows(n: int) -> int:
     return max(1, BLOCK_ELEMENTS // max(1, n))
 
 
+def _sampling_workers() -> int:
+    """Threads that fill one period's attenuation matrix: the cores this
+    process may run on, at most ``MAX_SAMPLING_WORKERS``."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return min(MAX_SAMPLING_WORKERS, cores)
+
+
 def _fill_attenuation(att: np.ndarray, positions: np.ndarray, sites: np.ndarray,
                       model: PathlossModel, shadow_rng) -> None:
     """Write reference_loss + 10*exponent*log10(max(d, 1)) + sigma*z into
-    ``att``, one row block at a time.
+    ``att``, one row block at a time, on up to ``_sampling_workers()`` threads.
 
     Every block applies the whole-matrix formula operation by operation, in
     the same order, through ``out=`` ufuncs, so ``att`` is bitwise what the
-    one-shot expression gives. The shadowing generator's stream is sequential:
-    drawing block by block yields the same numbers as one (U, n) draw.
+    one-shot expression gives whatever the thread count. The shadowing
+    stream is sequential, so one task draws sigma*z for every block in order
+    straight into ``att`` (block by block it yields the same numbers as one
+    (U, n) draw) and signals each block as it lands. The geometry tasks are
+    independent: each computes its block into scratch, waits for that block's
+    draw and adds it in. With one worker, or one block, the tasks run inline
+    in submission order: the draw first, then the blocks. numpy's ufuncs and
+    the generator release the GIL, so the workers run at once.
     """
     n = att.shape[1]
     rows = block_rows(n)
-    dx = np.empty((min(rows, len(att)), n))
-    dy = np.empty_like(dx)
+    blocks = [(lo, min(lo + rows, len(att))) for lo in range(0, len(att), rows)]
+    workers = min(_sampling_workers(), len(blocks))
+    drawn = [threading.Event() for _ in blocks] if shadow_rng is not None else None
+    # scratch comes from this thread and is handed round, one pair per worker:
+    # buffers allocated inside the workers grow per-thread malloc arenas
+    scratch = queue.SimpleQueue()
+    for _ in range(max(1, workers)):
+        scratch.put(np.empty((2, min(rows, len(att)), n)))
     slope = 10.0 * model.exponent
-    for lo in range(0, len(att), rows):
-        hi = min(lo + rows, len(att))
-        blk = att[lo:hi]
-        bx, by = dx[:hi - lo], dy[:hi - lo]
-        np.subtract(positions[lo:hi, 0, None], sites[None, :, 0], out=bx)
-        np.subtract(positions[lo:hi, 1, None], sites[None, :, 1], out=by)
-        np.hypot(bx, by, out=blk)
-        np.clip(blk, 1.0, None, out=blk)
-        np.log10(blk, out=blk)
-        np.multiply(blk, slope, out=blk)
-        np.add(blk, model.reference_loss, out=blk)
-        if shadow_rng is not None:
-            # bx is free again once hypot has read it
-            shadow_rng.standard_normal(out=bx)
-            np.multiply(bx, model.shadowing_sigma, out=bx)
-            np.add(blk, bx, out=blk)
+
+    def draw():
+        try:
+            for (lo, hi), done in zip(blocks, drawn):
+                blk = att[lo:hi]
+                shadow_rng.standard_normal(out=blk)
+                np.multiply(blk, model.shadowing_sigma, out=blk)
+                done.set()
+        finally:
+            # a failed draw must not leave a geometry task waiting
+            for done in drawn:
+                done.set()
+
+    def geometry(b):
+        lo, hi = blocks[b]
+        pair = scratch.get()
+        try:
+            bx, by = pair[:, :hi - lo]
+            geom = bx if drawn is not None else att[lo:hi]
+            np.subtract(positions[lo:hi, 0, None], sites[None, :, 0], out=bx)
+            np.subtract(positions[lo:hi, 1, None], sites[None, :, 1], out=by)
+            np.hypot(bx, by, out=geom)
+            np.clip(geom, 1.0, None, out=geom)
+            np.log10(geom, out=geom)
+            np.multiply(geom, slope, out=geom)
+            np.add(geom, model.reference_loss, out=geom)
+            if drawn is not None:
+                drawn[b].wait()
+                np.add(geom, att[lo:hi], out=att[lo:hi])
+        finally:
+            scratch.put(pair)
+
+    tasks = ([draw] if drawn is not None else []) + [
+        functools.partial(geometry, b) for b in range(len(blocks))]
+    if workers <= 1:
+        for task in tasks:
+            task()
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(task) for task in tasks]
+    for future in futures:
+        future.result()
 
 
 def _rescale_population(base: UserBatch, total: int, seed: int):

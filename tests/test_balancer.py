@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from breathenet import balancer
 from breathenet.balancer import (
     DegenerateDiagonal,
     SingularJacobian,
@@ -160,6 +161,22 @@ class TestPseudoinverseSolve:
         with pytest.raises(SingularJacobian) as exc:
             bdba_solve(approx_from_matrix(block), np.array([0.1, -0.1, 0.2, -0.2]))
         assert exc.value.components == ((1, 2), (3, 4))
+
+    def test_components_are_found_on_first_access(self, monkeypatch):
+        block = np.kron(np.eye(2), [[1.0, -1.0], [-1.0, 1.0]])
+        calls = []
+
+        def counted(approx):
+            calls.append(approx)
+            return support_graph(approx)
+
+        monkeypatch.setattr(balancer, "support_graph", counted)
+        with pytest.raises(SingularJacobian) as exc:
+            bdba_solve(approx_from_matrix(block), np.zeros(4))
+        assert calls == []
+        assert exc.value.components == ((1, 2), (3, 4))
+        assert "2 components" in str(exc.value)
+        assert len(calls) == 1
 
     def test_single_antenna_trivial(self):
         u, diag = bdba_solve(approx_from_matrix([[0.0]]), np.array([0.4]))

@@ -19,7 +19,7 @@ from breathenet.harness import (
 )
 from breathenet.model import AlgorithmConfig, Antenna, ConfigError, NetworkTopology
 from breathenet.synth import proportional_bundle, random_bundle
-from breathenet.traffic import Hotspot, PathlossModel, PeriodSpec, TrafficScenario
+from breathenet.traffic import Hotspot, PathlossModel, PeriodSpec, TrafficScenario, _sampling_workers
 
 QUICK_CFG = AlgorithmConfig(gamma=0.5, r_c=-120.0, n_s=1500,
                             coverage_sample=1000)
@@ -215,6 +215,20 @@ class TestResultsLayout:
         assert manifest["periods_completed"] == 2
         assert manifest["seeds"]["run"] == spec.seed
         assert "numpy" in manifest["versions"]
+
+    def test_manifest_records_the_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = write_results(run_experiment(quick_spec(periods=1)), tmp_path / "run")
+        threads = json.loads((out / "manifest.json").read_text())["threads"]
+        assert threads["sampling_workers"] == _sampling_workers()
+        assert 1 <= threads["sampling_workers"] <= 3
+        assert threads["OPENBLAS_NUM_THREADS"] == "1"
+        assert threads["OMP_NUM_THREADS"] is None
+        assert threads["MKL_NUM_THREADS"] is None
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert threads["blas"] == {"name": blas["name"], "version": blas["version"]}
 
     def test_busy_csv_rows(self, tmp_path):
         spec = quick_spec(periods=1)

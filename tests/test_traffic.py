@@ -1,8 +1,13 @@
 """Traffic sampling, pathloss and strongest-pilot assignment."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from breathenet import traffic
 from breathenet.model import Antenna, ConfigError, NetworkTopology
 from breathenet.traffic import (
     Hotspot,
@@ -239,46 +244,142 @@ def unblocked_attenuation(positions, sites, model, k):
     return att
 
 
+WORKER_COUNTS = (1, 2, 3)
+
+
+def sample_per_worker_count(monkeypatch, *args):
+    """sample_users(*args) once per worker count, keyed by the count."""
+    batches = {}
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(traffic, "_sampling_workers", lambda: workers)
+        batches[workers] = sample_users(*args)
+    return batches
+
+
+def sample_in_time(*args, timeout=60.0):
+    """sample_users(*args) on a thread joined with a timeout: the batch, or
+    the exception it raised. The fill must end and leave no worker behind."""
+    before = set(threading.enumerate())
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(sample_users(*args))
+        except Exception as exc:
+            outcome.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout)
+    assert not caller.is_alive(), "the fill is still waiting"
+    assert set(threading.enumerate()) <= before
+    return outcome[0]
+
+
+class FailingDraw:
+    """A shadowing generator whose draw for the second block raises."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = 0
+
+    def standard_normal(self, out):
+        self.draws += 1
+        if self.draws == 2:
+            raise RuntimeError("shadowing draw failed")
+        return self.rng.standard_normal(out=out)
+
+
 class TestBlockedAttenuation:
-    """sample_users fills the matrix in row blocks; it must be bitwise the
-    one-shot formula on both sides of every block edge."""
+    """sample_users fills the matrix in row blocks on one to three threads;
+    under every worker count it must be bitwise the one-shot formula on both
+    sides of every block edge."""
 
     N = 64
     B = block_rows(N)
 
-    def sample(self, users, model, demand=(1, 1), k=1):
+    def sample(self, monkeypatch, users, model, demand=(1, 1), k=1):
         topo = line_topo(self.N, spacing=150.0)
         spots = [Hotspot((4000.0, 300.0), 0.7, 2500.0),
                  Hotspot((9000.0, -200.0), 0.3, 800.0, truncate=2.0)]
         scenario = TrafficScenario(
             periods=tuple(PeriodSpec(users, tuple(spots)) for _ in range(k)),
             seed=17, demand=demand)
-        return topo, sample_users(scenario, model, topo, k)
+        return topo, sample_per_worker_count(monkeypatch, scenario, model, topo, k)
+
+    def assert_unblocked(self, topo, batches, model, k=1):
+        for workers, batch in batches.items():
+            want = unblocked_attenuation(batch.positions, topo.positions(), model, k)
+            assert np.array_equal(batch.attenuation, want), workers
 
     @pytest.mark.parametrize("users", [0, 1, B - 1, B, B + 1, 3 * B + 7])
-    def test_matches_unblocked_formula(self, users):
+    def test_matches_unblocked_formula(self, monkeypatch, users):
         model = PathlossModel(exponent=3.7, reference_loss=31.5,
                               shadowing_sigma=6.0, seed=23)
-        topo, batch = self.sample(users, model, k=2)
-        want = unblocked_attenuation(batch.positions, topo.positions(), model, 2)
-        assert batch.attenuation.shape == (users, self.N)
-        assert np.array_equal(batch.attenuation, want)
+        topo, batches = self.sample(monkeypatch, users, model, k=2)
+        assert all(b.attenuation.shape == (users, self.N) for b in batches.values())
+        self.assert_unblocked(topo, batches, model, k=2)
 
-    def test_without_shadowing(self):
+    def test_without_shadowing(self, monkeypatch):
         model = PathlossModel(shadowing_sigma=0.0, seed=5)
-        topo, batch = self.sample(2 * self.B + 3, model)
-        want = unblocked_attenuation(batch.positions, topo.positions(), model, 1)
-        assert np.array_equal(batch.attenuation, want)
+        topo, batches = self.sample(monkeypatch, 2 * self.B + 3, model)
+        self.assert_unblocked(topo, batches, model)
 
-    def test_with_a_demand_range(self):
+    def test_with_a_demand_range(self, monkeypatch):
         model = PathlossModel(seed=8)
-        topo, batch = self.sample(self.B + 5, model, demand=(2, 5))
-        assert batch.demand.min() >= 2 and batch.demand.max() <= 5
+        topo, batches = self.sample(monkeypatch, self.B + 5, model, demand=(2, 5))
+        assert all(b.demand.min() >= 2 and b.demand.max() <= 5
+                   for b in batches.values())
+        self.assert_unblocked(topo, batches, model)
+
+    def test_fewer_blocks_than_workers(self, monkeypatch):
+        users = 2 * self.B - 5
+        assert len(range(0, users, self.B)) < max(WORKER_COUNTS)
+        model = PathlossModel(shadowing_sigma=3.0, seed=9)
+        topo, batches = self.sample(monkeypatch, users, model)
+        self.assert_unblocked(topo, batches, model)
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_a_failing_draw_is_raised_and_frees_every_worker(self, monkeypatch,
+                                                             workers):
+        real_rng = np.random.default_rng
+
+        def rng_for(seed):
+            rng = real_rng(seed)
+            # the shadowing stream is the one spawned with key (k, 1)
+            return FailingDraw(rng) if seed.spawn_key == (1, 1) else rng
+
+        monkeypatch.setattr(np.random, "default_rng", rng_for)
+        monkeypatch.setattr(traffic, "_sampling_workers", lambda: workers)
+        topo = line_topo(self.N, spacing=150.0)
+        scenario = TrafficScenario(
+            periods=(PeriodSpec(4 * self.B, (Hotspot((4000.0, 0.0), 1.0, 2500.0),)),),
+            seed=17)
+        got = sample_in_time(scenario, PathlossModel(seed=3), topo, 1)
+        assert isinstance(got, RuntimeError)
+        assert str(got) == "shadowing draw failed"
+
+    def test_more_workers_than_cores_under_a_short_switch_interval(self, monkeypatch):
+        # more workers than cores, at most 8 to keep the batch small
+        workers = min((os.cpu_count() or 1) + 1, 8)
+        monkeypatch.setattr(traffic, "_sampling_workers", lambda: workers)
+        topo = line_topo(self.N, spacing=150.0)
+        scenario = TrafficScenario(
+            periods=(PeriodSpec(2 * workers * self.B + 1,
+                                (Hotspot((4000.0, 0.0), 1.0, 2500.0),)),),
+            seed=5)
+        model = PathlossModel(shadowing_sigma=4.0, seed=11)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            batch = sample_in_time(scenario, model, topo, 1)
+        finally:
+            sys.setswitchinterval(interval)
         want = unblocked_attenuation(batch.positions, topo.positions(), model, 1)
         assert np.array_equal(batch.attenuation, want)
 
     @pytest.mark.parametrize("later", [B // 3, 2 * B + 11])
-    def test_proportional_rescale(self, later):
+    def test_proportional_rescale(self, monkeypatch, later):
         topo = line_topo(self.N, spacing=150.0)
         spots = (Hotspot((4000.0, 0.0), 1.0, 3000.0),)
         base_users = self.B + 9
@@ -286,12 +387,28 @@ class TestBlockedAttenuation:
             periods=(PeriodSpec(base_users, spots), PeriodSpec(later, spots)),
             seed=41, mode="proportional")
         model = PathlossModel(seed=42)
-        base = sample_users(scenario, model, topo, 1)
-        got = sample_users(scenario, model, topo, 2)
+        bases = sample_per_worker_count(monkeypatch, scenario, model, topo, 1)
+        self.assert_unblocked(topo, bases, model)
+        base = bases[1]
         want_base = unblocked_attenuation(base.positions, topo.positions(), model, 1)
         perm = np.random.default_rng(
             np.random.SeedSequence(41, spawn_key=(0, 97))).permutation(base_users)
         reps, rem = divmod(later, base_users)
         pick = np.concatenate([np.tile(np.arange(base_users), reps), perm[:rem]])
-        assert np.array_equal(got.positions, base.positions[pick])
-        assert np.array_equal(got.attenuation, want_base[pick])
+        for workers, got in sample_per_worker_count(
+                monkeypatch, scenario, model, topo, 2).items():
+            assert np.array_equal(got.positions, base.positions[pick]), workers
+            assert np.array_equal(got.attenuation, want_base[pick]), workers
+
+
+class TestSamplingWorkers:
+    @pytest.mark.parametrize("cores, want", [(1, 1), (2, 2), (3, 3), (8, 3)])
+    def test_usable_cores_capped_at_three(self, monkeypatch, cores, want):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        assert traffic._sampling_workers() == want
+
+    def test_cpu_count_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert traffic._sampling_workers() == 2
