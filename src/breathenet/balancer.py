@@ -25,6 +25,8 @@ from .model import AlgorithmConfig, NetworkTopology
 from .mrdata import MrDataset
 from .traffic import UserBatch
 
+# the largest network bdba's dense SVD serves; ExperimentSpec rejects bdba
+# on more antennas
 DENSE_LIMIT = 2000
 
 
@@ -64,7 +66,6 @@ def _zero_sum_basis(n: int) -> np.ndarray:
 
 
 def bdba_solve(approx: JacobianApprox, d: np.ndarray,
-               dense_limit: int = DENSE_LIMIT,
                cutoff: float = 0.05) -> tuple[np.ndarray, dict]:
     """Solve A~ u = d for the zero-sum least-squares adjustment u.
 
@@ -78,10 +79,9 @@ def bdba_solve(approx: JacobianApprox, d: np.ndarray,
     value are dropped from the solve; the estimate is Monte Carlo sampled and
     those directions carry more noise than signal, producing adjustments far
     outside the perturbation range the estimate was built from. The
-    left-over disagreement is picked up on later periods. Above
-    ``dense_limit`` antennas a damped-Jacobi relaxation on the sparse system
-    is used instead (early stopping plays the same noise-suppressing role
-    there).
+    left-over disagreement is picked up on later periods. The solve is
+    dense, so experiment specs cap bdba at DENSE_LIMIT antennas; larger
+    networks run bfdba.
     """
     n = approx.n
     d = np.asarray(d, dtype=float)
@@ -90,9 +90,6 @@ def bdba_solve(approx: JacobianApprox, d: np.ndarray,
     if n == 1:
         return np.zeros(1), {"singular_values": [], "residual": float(abs(d[0])),
                              "method": "trivial"}
-    if n > dense_limit:
-        return _relaxation_solve(approx, d)
-
     csr = approx.matrix.tocsr()
     if ((np.diff(csr.indptr) == 0).sum() >= 2
             or (np.bincount(csr.indices, minlength=n) == 0).sum() >= 2):
@@ -111,40 +108,6 @@ def bdba_solve(approx: JacobianApprox, d: np.ndarray,
     return u, {"singular_values": sigma.tolist(), "cutoff": float(cutoff),
                "rank": int(keep.sum()), "residual": residual,
                "sum_u": float(u.sum()), "method": "svd"}
-
-
-def _relaxation_solve(approx: JacobianApprox, d: np.ndarray,
-                      omega: float = 0.66, max_sweeps: int = 2000,
-                      tol: float = 1e-10) -> tuple[np.ndarray, dict]:
-    """Damped Jacobi on the sparse system with zero-sum re-projection.
-
-    Suitable for the near-Laplacian estimates this package produces; sweeps
-    stop when the residual stalls. Kept for large instances where a dense
-    SVD is wasteful.
-    """
-    a = approx.matrix.tocsr()
-    n = approx.n
-    diag = a.diagonal()
-    if (diag <= 0).any():
-        raise SingularJacobian(approx)
-    u = np.zeros(n)
-    best_u = u.copy()
-    best_res = np.inf
-    d0 = d - d.mean()
-    for sweep in range(max_sweeps):
-        r = d0 - a @ u
-        res = float(np.linalg.norm(r))
-        if res < best_res - 1e-15:
-            best_res = res
-            best_u = u.copy()
-        elif res > best_res * (1 + 1e-9) and sweep > 10:
-            break
-        if res <= tol * max(1.0, float(np.linalg.norm(d0))):
-            break
-        u = u + omega * (r / diag)
-        u -= u.mean()
-    return best_u, {"residual": best_res, "sweeps": sweep + 1,
-                    "sum_u": float(best_u.sum()), "method": "relaxation"}
 
 
 def bfdba_solve(approx: JacobianApprox, d: np.ndarray, powers: np.ndarray,

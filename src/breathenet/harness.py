@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy
 
-from .balancer import BalanceStep, SingularJacobian, bdba_solve, bfdba_solve, save_steps_jsonl, step
+from .balancer import DENSE_LIMIT, BalanceStep, SingularJacobian, bdba_solve, bfdba_solve, save_steps_jsonl, step
 from .busy import BusyState, busy_degrees, disagreement, targets
 from .coverage import ExactNeighbourhoodEvaluator, exact_coverage
 from .jacobian import approx_from_matrix, estimate_jacobian, laplacian_check, support_graph
@@ -70,6 +70,11 @@ class ExperimentSpec:
             raise ConfigError(
                 f"periods={self.periods} exceeds the scenario horizon "
                 f"{self.scenario.horizon}")
+        if self.algorithm == "bdba" and self.topo.n > DENSE_LIMIT:
+            raise ConfigError(
+                "algorithm 'bdba' solves densely and takes at most "
+                f"{DENSE_LIMIT} antennas, this topology has {self.topo.n}; "
+                "use 'bfdba'")
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
@@ -503,7 +508,7 @@ def _check_pseudoinverse() -> PropertyCheck:
 
 def _check_fast_fixed_point() -> PropertyCheck:
     diag = np.array([0.8, 1.2, 1.0])
-    approx = approx_from_matrix(np.diag(diag), diagonal_only=True)
+    approx = approx_from_matrix(np.diag(diag))
     p = np.array([43.0, 40.0, 41.0])
     tau = 0.001
     d = tau * p  # the disagreement exactly at the fast balancer's fixed point

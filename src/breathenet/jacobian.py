@@ -25,17 +25,13 @@ class JacobianApprox:
     """Normalized Jacobian estimate A~ with A~_ij ~ (df_i/dp_j) / f_bar_i.
 
     ``matrix`` is sparse n x n, per-dB. ``sample_sizes`` holds the per-antenna
-    record counts actually used; ``serving_counts`` the full |M_i|;
-    ``empty_rows`` the antennas that had no serving records (their rows are
-    structurally zero).
+    record counts actually used; ``empty_rows`` the antennas that had no
+    serving records (their rows are structurally zero).
     """
 
     matrix: sp.csr_matrix
-    epsilon: float
     sample_sizes: np.ndarray
-    serving_counts: np.ndarray
     empty_rows: tuple[int, ...]
-    diagonal_only: bool = False
 
     @property
     def n(self) -> int:
@@ -49,19 +45,15 @@ class JacobianApprox:
         return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
 
-def approx_from_matrix(matrix, epsilon: float = 0.1,
-                       diagonal_only: bool = False) -> JacobianApprox:
+def approx_from_matrix(matrix) -> JacobianApprox:
     """Wrap an explicit matrix (dense or sparse) for the solvers; handy for
     analytic cases where no record batch exists."""
     m = sp.csr_matrix(np.asarray(matrix, dtype=float)) if not sp.issparse(matrix) \
         else matrix.tocsr()
     if m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    n = m.shape[0]
-    zeros = np.zeros(n, dtype=int)
-    return JacobianApprox(matrix=m, epsilon=epsilon, sample_sizes=zeros,
-                          serving_counts=zeros.copy(), empty_rows=(),
-                          diagonal_only=diagonal_only)
+    return JacobianApprox(matrix=m, sample_sizes=np.zeros(m.shape[0], dtype=int),
+                          empty_rows=())
 
 
 def estimate_jacobian(ds: MrDataset, powers: np.ndarray, f: np.ndarray,
@@ -88,7 +80,9 @@ def estimate_jacobian(ds: MrDataset, powers: np.ndarray, f: np.ndarray,
 
     and A~_ij = (df_i/dp_j) / f_bar_i. Antennas without serving records yield
     zero rows and a warning. With ``diagonal_only`` the off-diagonal entries
-    are not assembled (the counting pass is shared).
+    are not assembled (the counting pass is shared). The sparse matrix is
+    built from the (i, j, count) switch triplets alone, in
+    O(records * top_m + n) memory; no n x n array is formed.
     """
     if ds.domain != "signal":
         raise ValueError("jacobian estimation needs signal-domain records")
@@ -105,65 +99,66 @@ def estimate_jacobian(ds: MrDataset, powers: np.ndarray, f: np.ndarray,
         raise ValueError("targets must be positive to normalize the estimate")
     eps = cfg.epsilon
 
-    serving = ds.serving()
-    serving_counts = np.bincount(serving, minlength=n + 1)[1:] if len(serving) \
-        else np.zeros(n, dtype=np.int64)
     rows, sample_sizes = sample_for_jacobian(ds, cfg.n_s, seed=seed)
     empty = tuple(int(i + 1) for i in np.flatnonzero(sample_sizes == 0))
     if empty:
         warnings.warn(f"antennas without serving records: {empty}; "
                       "their jacobian rows are zero")
 
-    # switch counts keyed by the flat (n+1)^2 cell (serving i, competitor j)
-    ids = ds.ids[rows]
+    # switches keyed i * n + j by the 0-based (serving i, competitor j);
+    # padding entries get id -1
+    ids = ds.ids[rows].astype(np.int64) - 1
     vals = ds.values[rows]
-    srv = ids[:, 0].astype(np.int64)
+    srv = ids[:, 0]
     m = ids.shape[1]
     down = up = np.zeros(0, dtype=np.int64)
     if m > 1:
         # down-shift: the strongest competitor is column 1 (entries are
         # sorted by value desc, ties by id asc), so it wins or nobody does
-        j1 = ids[:, 1].astype(np.int64)
-        has = j1 > 0
-        lowered = vals[:, 0] - eps * powers[srv - 1]
-        win = has & ((vals[:, 1] > lowered)
-                     | ((vals[:, 1] == lowered) & (j1 < srv)))
-        down = srv[win] * (n + 1) + j1[win]
+        j1 = ids[:, 1]
+        lowered = vals[:, 0] - eps * powers[srv]
+        win = (j1 >= 0) & ((vals[:, 1] > lowered)
+                           | ((vals[:, 1] == lowered) & (j1 < srv)))
+        down = srv[win] * n + j1[win]
         # up-shift: a boosted competitor must strictly beat every entry,
         # and column 0 holds the row maximum
         keys = []
         for c in range(1, m):
-            jc = ids[:, c].astype(np.int64)
-            has = jc > 0
-            boosted = np.where(has, vals[:, c] + eps * powers[np.where(has, jc, 1) - 1],
-                               -np.inf)
-            win = has & (boosted > vals[:, 0])
-            keys.append(srv[win] * (n + 1) + jc[win])
+            jc = ids[:, c]
+            win = (jc >= 0) & (vals[:, c] + eps * powers[jc] > vals[:, 0])
+            keys.append(srv[win] * n + jc[win])
         up = np.concatenate(keys)
-    dminus = np.bincount(down, minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
-    dplus = np.bincount(up, minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
 
     denom = np.maximum(sample_sizes, 1).astype(float)
-    rminus = dminus[1:, 1:] / denom[:, None]
-    rplus = dplus[1:, 1:] / denom[:, None]
-
     r = topo.prb_vector()
     mass = f * r
-    diag_unnorm = (f * rminus.sum(axis=1)
-                   + (rplus * mass[:, None]).sum(axis=0) / r) / (2.0 * eps * powers)
-    dense = np.zeros((n, n))
+    span = 2.0 * eps * powers
+    # the up-shift cells sorted by (i, j): bincount then adds each column
+    # in the order of a dense axis-0 sum
+    up_keys, up_counts = np.unique(up, return_counts=True)
+    up_i, up_j = np.divmod(up_keys, n)
+    rplus = up_counts / denom[up_i]
+    diag = (f * (np.bincount(down // n, minlength=n) / denom)
+            + np.bincount(up_j, weights=rplus * mass[up_i], minlength=n) / r) \
+        / span / f_bar
+    cells, values = np.arange(n) * (n + 1), diag
     if not diagonal_only:
-        off = -(f[:, None] * rplus + rminus.T * mass[None, :] / r[:, None]) \
-            / (2.0 * eps * powers[None, :])
-        np.fill_diagonal(off, 0.0)
-        dense = off
-    dense[np.arange(n), np.arange(n)] = diag_unnorm
-    dense /= f_bar[:, None]
-    matrix = sp.csr_matrix(dense)
-    matrix.eliminate_zeros()
-    return JacobianApprox(matrix=matrix, epsilon=eps, sample_sizes=sample_sizes,
-                          serving_counts=serving_counts.astype(np.int64),
-                          empty_rows=empty, diagonal_only=diagonal_only)
+        dn_keys, dn_counts = np.unique(down, return_counts=True)
+        dn_i, dn_j = np.divmod(dn_keys, n)
+        # cell (i, j) takes f_i * Dplus_ij / n_i from i's records, then
+        # Dminus_ji / n_j * mass_j / r_i from j's
+        off, inverse = np.unique(np.concatenate([up_keys, dn_j * n + dn_i]),
+                                 return_inverse=True)
+        total = np.bincount(inverse, weights=np.concatenate(
+            [f[up_i] * rplus, dn_counts / denom[dn_i] * mass[dn_i] / r[dn_j]]))
+        row, col = np.divmod(off, n)
+        cells = np.concatenate([cells, off])
+        values = np.concatenate([values, -total / span[col] / f_bar[row]])
+    keep = values != 0  # drops 0.0 and -0.0 cells, as a dense scan would
+    matrix = sp.csr_matrix((values[keep], np.divmod(cells[keep], n)),
+                           shape=(n, n))
+    return JacobianApprox(matrix=matrix, sample_sizes=sample_sizes,
+                          empty_rows=empty)
 
 
 @dataclass(frozen=True)

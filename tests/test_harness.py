@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from breathenet.balancer import DENSE_LIMIT
 from breathenet.coverage import InfeasibleCoverage
 from breathenet.harness import (
     ExperimentSpec,
@@ -89,6 +90,18 @@ class TestSpecs:
     def test_missing_blocks_named(self):
         with pytest.raises(ConfigError, match="topology"):
             spec_from_dict({"scenario": {}})
+
+    def test_bdba_capped_at_the_dense_limit(self):
+        def spec(n, algorithm):
+            return spec_from_dict({
+                "bundle": {"name": "random", "nx": n, "ny": 1, "periods": 1,
+                           "total_users": 100, "seed": 1},
+                "algorithm": algorithm})
+
+        with pytest.raises(ConfigError, match="bfdba"):
+            spec(DENSE_LIMIT + 1, "bdba")
+        assert spec(DENSE_LIMIT + 1, "bfdba").topo.n == DENSE_LIMIT + 1
+        assert spec(DENSE_LIMIT, "bdba").topo.n == DENSE_LIMIT
 
 
 class TestMetricsSeries:

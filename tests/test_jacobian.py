@@ -1,7 +1,10 @@
 """Jacobian estimation from record batches and its structural checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from breathenet.busy import busy_degrees, targets
 from breathenet.jacobian import (
@@ -163,6 +166,27 @@ class TestEstimator:
                                    np.diag(full.matrix.toarray()), atol=1e-12)
         assert (got[~np.eye(3, dtype=bool)] == 0).all()
 
+    @pytest.mark.filterwarnings("ignore:antennas without serving records")
+    @pytest.mark.parametrize("diagonal_only", [False, True])
+    def test_memory_stays_linear(self, diagonal_only):
+        # n = 1500 antennas: one dense (n+1)^2 count array alone is 18 MB
+        topo, pathloss, scenario = random_bundle(
+            nx=50, ny=30, periods=1, total_users=3000, seed=5)
+        p = topo.initial_powers()
+        users = sample_users(scenario, pathloss, topo, 1)
+        cfg = AlgorithmConfig()
+        mr = generate_mr(users, p, cfg.top_m)
+        f = busy_degrees(mr.serving(), users, topo)
+        f_bar = targets(f, topo, cfg.target_mode)
+        tracemalloc.start()
+        try:
+            estimate_jacobian(mr, p, f, f_bar, topo, cfg,
+                              diagonal_only=diagonal_only)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 def per_antenna_estimate(ds, powers, f, f_bar, topo, cfg, seed, diagonal_only):
     """The estimator written per antenna: flatnonzero of the serving column,
@@ -210,26 +234,54 @@ class TestGroupedEstimatorOracle:
     @pytest.mark.parametrize("top_m", [1, 3, 6])
     @pytest.mark.parametrize("diagonal_only", [False, True])
     def test_equals_the_per_antenna_estimator(self, top_m, diagonal_only):
+        self.check(top_m, diagonal_only, "plain")
+
+    @pytest.mark.parametrize("diagonal_only", [False, True])
+    @pytest.mark.parametrize("case", ["idle", "silent"])
+    def test_idle_and_silent_antennas(self, case, diagonal_only):
+        self.check(6, diagonal_only, case)
+
+    @staticmethod
+    def check(top_m, diagonal_only, case):
         # antenna 5 serves more than n_s records, so it is subsampled;
-        # antenna 6 is 40 dB down and serves nobody
+        # antenna 6 serves nobody: 40 dB down, or ("silent") 2 dB under each
+        # user's best so it still wins shifts; "idle" zeroes antenna 2's load
+        # while it keeps its records, so some cells compute to -0.0
         topo = make_topo(6, r=80)
         rng = np.random.default_rng(17)
         att = rng.uniform(60.0, 85.0, size=(500, 6))
         att[:, 4] -= 6.0
         att[:, 5] += 40.0
-        users = batch_from_attenuation(att, rng.integers(1, 4, size=500))
         p = np.array([40.0, 41.0, 39.0, 40.5, 40.0, 42.0])
+        if case == "silent":
+            att[:, 5] = p[5] - (p[:5] - att[:, :5]).max(axis=1) + 2.0
+        users = batch_from_attenuation(att, rng.integers(1, 4, size=500))
         cfg = AlgorithmConfig(epsilon=0.1, n_s=60, top_m=top_m)
         mr = generate_mr(users, p, top_m)
         f = busy_degrees(mr.serving(), users, topo)
         f_bar = targets(f, topo, cfg.target_mode)
+        if case == "idle":
+            f[1] = 0.0
         with pytest.warns(UserWarning, match="without serving records"):
             got = estimate_jacobian(mr, p, f, f_bar, topo, cfg, seed=3,
                                     diagonal_only=diagonal_only)
         dense, sizes, empty = per_antenna_estimate(mr, p, f, f_bar, topo, cfg,
                                                    3, diagonal_only)
         assert empty == (6,) and sizes[4] == cfg.n_s
-        assert np.array_equal(got.matrix.toarray(), dense)
+        if case == "idle" and not diagonal_only:
+            assert (np.signbit(dense) & (dense == 0)).any()
+        if case == "silent":
+            assert dense[5, 5] > 0
+        ref = sp.csr_matrix(dense)
+        m = got.matrix
+        assert m.has_sorted_indices
+        assert np.array_equal(m.indptr, ref.indptr)
+        assert np.array_equal(m.indices, ref.indices)
+        on = np.repeat(np.arange(6), np.diff(m.indptr)) == m.indices
+        assert np.array_equal(m.data[~on], ref.data[~on])
+        # the down-shift row sum is an integer count divided once, where the
+        # oracle adds per-entry ratios
+        np.testing.assert_allclose(m.data[on], ref.data[on], rtol=1e-12, atol=0)
         assert np.array_equal(got.sample_sizes, sizes)
         assert got.empty_rows == empty
 
