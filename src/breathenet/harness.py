@@ -218,9 +218,11 @@ def _metrics_row(state: BusyState, threshold: float) -> tuple[float, float, floa
 
 
 def _coverage_dataset(mr, powers, cfg: AlgorithmConfig, seed: int):
-    cov = to_attenuation(mr, powers)
-    cov = subsample(cov, cfg.coverage_sample, seed=seed)
-    return remove_redundant(cov)
+    # the subsample picks rows from the batch size and the seed alone, and
+    # the domain switch works row by row: switching only the kept rows gives
+    # the same batch
+    cov = subsample(mr, cfg.coverage_sample, seed=seed)
+    return remove_redundant(to_attenuation(cov, powers))
 
 
 def run_experiment(spec: ExperimentSpec, output_dir=None,

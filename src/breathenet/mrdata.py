@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .traffic import UserBatch, block_rows
+from .traffic import BLOCK_ELEMENTS, UserBatch, block_rows
 
 _PAD_SENTINEL = np.iinfo(np.int32).max
 
@@ -193,9 +193,20 @@ def remove_redundant(ds: MrDataset) -> MrDataset:
 
     Record B is redundant when some record A lists a subset of B's antennas
     with entrywise greater-or-equal attenuation on the shared antennas: if A
-    is covered then B is covered automatically. Applied to a fixpoint;
-    mutually redundant (identical) records keep the earliest. Survivor order
-    is preserved; ``raw_count`` keeps the pre-deletion count.
+    is covered then B is covered automatically. Of identical records only
+    the earliest survives. A NaN entry compares >= with nothing, so it
+    never lets its record dominate or be dominated through that antenna.
+    Survivor order is preserved; ``raw_count`` keeps the pre-deletion count.
+
+    Within one antenna set the records are sorted by their values,
+    lexicographically descending, ties kept in input order. A dominator
+    then always precedes the record it dominates, and of identical records
+    the earliest comes first, so a record is deleted exactly when some
+    predecessor in its set is >= it entrywise. Only those predecessor pairs
+    are compared, ``BLOCK_ELEMENTS`` pairs at a time and one column at a
+    time, so memory does not grow with the size of a set. Only a batch that
+    mixes record lengths (a loaded CSV, say) also matches each record
+    against the sets of its shorter subsets.
     """
     if ds.domain != "attenuation":
         raise ValueError("redundancy deletion operates on attenuation batches")
@@ -210,8 +221,70 @@ def remove_redundant(ds: MrDataset) -> MrDataset:
     order = np.argsort(sort_ids, axis=1, kind="stable")
     sids = np.take_along_axis(sort_ids, order, axis=1)
     svals = np.take_along_axis(ds.values, order, axis=1)
+    deleted = _dominated_in_set(sids, svals)
     sizes = mask.sum(axis=1)
+    if sizes.min() != sizes.max():
+        deleted |= _dominated_by_subset(sids, svals)
+    keep = ~deleted
+    return MrDataset(ds.ids[keep].copy(), ds.values[keep].copy(), ds.domain,
+                     ds.n_antennas, recorded_powers=ds.recorded_powers,
+                     raw_count=ds.raw_count)
 
+
+def _dominated_in_set(sids: np.ndarray, svals: np.ndarray) -> np.ndarray:
+    """Rows with an entrywise >= record listing the same antennas; of
+    identical rows, all but the earliest.
+
+    ``sids``/``svals`` hold each row's entries in ascending id order, with
+    ``_PAD_SENTINEL`` padding.
+    """
+    k, m = sids.shape
+    # padding sits in the same columns of every row of a set: make it equal
+    vals = np.where(sids != _PAD_SENTINEL, svals, 0.0)
+    # a NaN entry is neither >= nor <= anything: its row takes no part
+    rows = np.flatnonzero(~np.isnan(vals).any(axis=1))
+    # primary key: the antenna set; then the values, descending; then the
+    # input order, which the stable sort keeps
+    keys = ([-vals[rows, c] for c in range(m - 1, -1, -1)]
+            + [sids[rows, c] for c in range(m - 1, -1, -1)])
+    rows = rows[np.lexsort(keys)]
+    sets = sids[rows]
+    pos = np.arange(len(rows))
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (sets[1:] != sets[:-1]).any(axis=1)
+    # the predecessors of position j in its set: start[j] .. j - 1
+    start = np.maximum.accumulate(np.where(first, pos, 0))
+    preds = pos - start
+    # every predecessor is >= in column 0, the leading sort key
+    cols = [vals[rows, c] for c in range(1, m)]
+    cand = np.flatnonzero(preds)
+    ends = np.cumsum(preds[cand])
+    dominated = np.zeros(len(rows), dtype=bool)
+    lo, done = 0, 0
+    while lo < len(cand):
+        # records lo..hi-1 of cand hold at most BLOCK_ELEMENTS pairs, or
+        # one record's predecessors when they are more
+        hi = max(lo + 1, int(np.searchsorted(ends, done + BLOCK_ELEMENTS,
+                                             side="right")))
+        js = cand[lo:hi]
+        counts = preds[js]
+        offset = np.cumsum(counts) - counts
+        # every (predecessor a, record b) pair of the records js
+        b = np.repeat(js, counts)
+        a = np.arange(len(b)) + np.repeat(start[js] - offset, counts)
+        for col in cols:
+            ge = np.flatnonzero(col[a] >= col[b])
+            a, b = a[ge], b[ge]
+        dominated[b] = True
+        lo, done = hi, int(ends[hi - 1])
+    out = np.zeros(k, dtype=bool)
+    out[rows[dominated]] = True
+    return out
+
+
+def _dominated_by_subset(sids: np.ndarray, svals: np.ndarray) -> np.ndarray:
+    """Rows with an entrywise >= record listing a strict subset of their
+    antennas (same layout as ``_dominated_in_set``)."""
     uniq, inverse = np.unique(sids, axis=0, return_inverse=True)
     inverse = inverse.ravel()
     by_group = np.argsort(inverse, kind="stable")
@@ -222,13 +295,11 @@ def remove_redundant(ds: MrDataset) -> MrDataset:
     key_index = {key: g for g, key in enumerate(group_key)}
     sizes_present = sorted({len(key) for key in group_key})
 
-    deleted = np.zeros(k, dtype=bool)
+    deleted = np.zeros(len(sids), dtype=bool)
     for g, key in enumerate(group_key):
         rows_b = group_rows[g]
         width = len(key)
         vb = svals[rows_b][:, :width]
-        if len(rows_b) > 1:
-            deleted[rows_b] |= _same_set_redundant(vb, rows_b)
         for t in sizes_present:
             if t >= width:
                 break
@@ -240,30 +311,7 @@ def remove_redundant(ds: MrDataset) -> MrDataset:
                 va = svals[rows_a][:, :t]
                 cols = np.searchsorted(np.asarray(key), np.asarray(sub))
                 deleted[rows_b] |= _has_dominator(va, vb[:, cols])
-    keep = ~deleted
-    return MrDataset(ds.ids[keep].copy(), ds.values[keep].copy(), ds.domain,
-                     ds.n_antennas, recorded_powers=ds.recorded_powers,
-                     raw_count=ds.raw_count)
-
-
-def _same_set_redundant(vb: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Within one antenna-set group: mark rows with a dominating peer.
-
-    Strict dominators always delete; for identical value vectors only the
-    earliest record (by original index) survives.
-    """
-    g, m = vb.shape
-    out = np.zeros(g, dtype=bool)
-    block = max(1, int(4e6) // max(1, g * m))
-    for lo in range(0, g, block):
-        hi = min(g, lo + block)
-        ge_ab = (vb[:, None, :] >= vb[None, lo:hi, :]).all(axis=2)
-        ge_ba = (vb[None, lo:hi, :] >= vb[:, None, :]).all(axis=2)
-        strict = ge_ab & ~ge_ba
-        equal = ge_ab & ge_ba
-        earlier = rows[:, None] < rows[None, lo:hi]
-        out[lo:hi] = strict.any(axis=0) | (equal & earlier).any(axis=0)
-    return out
+    return deleted
 
 
 def _has_dominator(va: np.ndarray, vb: np.ndarray) -> np.ndarray:

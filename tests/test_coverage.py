@@ -26,6 +26,7 @@ from breathenet.mrdata import (
     to_attenuation,
 )
 from breathenet.traffic import UserBatch
+from test_mrdata import brute_force_survivors, records_as_tuples
 
 
 def make_topo(n, p=40.0, p_max=49.0, neighbours=None):
@@ -155,6 +156,14 @@ class TestExactCoverage:
             assert any(a.keys() <= rec.keys() and all(a[i] >= rec[i] for i in a)
                        for a in survivors)
         assert covered(ds, p, r_c).all() == covered(kept, p, r_c).all()
+
+    @PROPERTY
+    @given(att_batches())
+    def test_redundancy_removal_keeps_exactly_the_brute_force_survivors(self, batch):
+        ds, _, _ = batch
+        records = [ds.record(r) for r in range(len(ds))]
+        expected = [records[i].entries for i in brute_force_survivors(records)]
+        assert records_as_tuples(remove_redundant(ds)) == expected
 
     def test_empty_batch_warns(self):
         ds = att_dataset([], 2)

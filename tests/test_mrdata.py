@@ -1,6 +1,9 @@
 """Measurement-record batches: generation, domain switch, redundancy
 deletion, ranked tables, sampling and persistence."""
 
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from breathenet.mrdata import (
+    MrDataset,
     MrRecord,
     co_neighbours,
     dataset_from_records,
@@ -63,6 +67,55 @@ def brute_force_survivors(records):
         if not doomed:
             keep.append(b)
     return keep
+
+
+def pairwise_survivors(ds):
+    """Redundancy deletion compared pair by pair, in both directions.
+
+    Records are grouped by antenna set. Within a set, a strict dominator
+    (a >= b entrywise, not b >= a) deletes b, and of identical records
+    (a >= b and b >= a) the earlier one deletes the later. Across sets, a
+    record listing a strict subset of b's antennas deletes b when it is >=
+    on each of them. Returns the keep mask.
+    """
+    mask = ds.ids > 0
+    keys, vals = [], []
+    for r in range(len(ds)):
+        order = np.argsort(ds.ids[r, mask[r]], kind="stable")
+        keys.append(tuple(ds.ids[r, mask[r]][order].tolist()))
+        vals.append(ds.values[r, mask[r]][order])
+    groups = {}
+    for r, key in enumerate(keys):
+        groups.setdefault(key, []).append(r)
+    deleted = np.zeros(len(ds), dtype=bool)
+    for key, rows in groups.items():
+        rows = np.asarray(rows)
+        vb = np.array([vals[r] for r in rows])
+        ge = (vb[:, None, :] >= vb[None, :, :]).all(axis=2)  # ge[a, b]: a >= b
+        strict = ge & ~ge.T
+        equal = ge & ge.T
+        earlier = rows[:, None] < rows[None, :]
+        deleted[rows] |= (strict | (equal & earlier)).any(axis=0)
+        for t in range(1, len(key)):
+            for sub in combinations(key, t):
+                if sub not in groups:
+                    continue
+                va = np.array([vals[r] for r in groups[sub]])
+                cols = [key.index(a) for a in sub]
+                deleted[rows] |= (va[None, :, :] >= vb[:, None, cols]
+                                  ).all(axis=2).any(axis=1)
+    return ~deleted
+
+
+def assert_matches_pairwise(ds):
+    got = remove_redundant(ds)
+    keep = pairwise_survivors(ds)
+    assert np.array_equal(got.ids, ds.ids[keep])
+    # bitwise, so that NaN and the sign of zero count
+    assert np.array_equal(got.values.view(np.uint64),
+                          ds.values[keep].view(np.uint64))
+    assert got.raw_count == ds.raw_count
+    return got, keep
 
 
 class TestGeneration:
@@ -277,6 +330,82 @@ class TestRedundancyDeletion:
         ds = dataset_from_records([MrRecord(((1, 20.0),))], "signal", 1)
         with pytest.raises(ValueError):
             remove_redundant(ds)
+
+    def test_one_large_antenna_set(self):
+        # 1 600 records of one set: 1.3 M predecessor pairs, ten blocks
+        rng = np.random.default_rng(41)
+        k, m = 1600, 6
+        ids = np.argsort(rng.random((k, m)), axis=1).astype(np.int32) + 1
+        values = rng.integers(60, 70, size=(k, m)).astype(float)
+        _, keep = assert_matches_pairwise(MrDataset(ids, values, "attenuation", m))
+        assert 10 < keep.sum() < k - 10
+
+    def test_many_sets_on_a_coarse_grid(self):
+        rng = np.random.default_rng(42)
+        k, n, m = 3000, 5, 3
+        ids = np.array([rng.choice(n, m, replace=False) for _ in range(k)],
+                       dtype=np.int32) + 1
+        values = rng.integers(0, 3, size=(k, m)).astype(float)
+        assert_matches_pairwise(MrDataset(ids, values, "attenuation", n))
+
+    def test_identical_records_far_apart_keep_the_earliest(self):
+        a = [(2, 7.0), (1, 5.0)]
+        records = [[(1, 1.0), (2, 1.0)], a, [(1, 9.0), (2, 0.0)],
+                   [(1, 0.0), (2, 9.0)], a, [(1, 2.0), (2, 2.0)], a]
+        got, keep = assert_matches_pairwise(self.att_ds(records, 2))
+        assert np.flatnonzero(keep).tolist() == [1, 2, 3]
+
+    def test_signed_zeros_are_equal(self):
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            records = [[(1, 3.0), (2, first)], [(1, 3.0), (2, second)]]
+            got, _ = assert_matches_pairwise(self.att_ds(records, 2))
+            assert len(got) == 1
+            assert np.signbit(got.values[0, 1]) == np.signbit(first)
+
+    @pytest.mark.parametrize("nan_at", [1, 2])
+    def test_nan_entry_never_dominates_and_is_never_dominated(self, nan_at):
+        # nan_at=1 puts the NaN at the lowest id, the leading sort column
+        hi = [(1, 9.0), (2, 9.0)]
+        lo = [(1, 1.0), (2, 1.0)]
+        nan_rec = [(1, 5.0), (2, 5.0)]
+        nan_rec[nan_at - 1] = (nan_at, float("nan"))
+        records = [hi, nan_rec, lo, nan_rec, list(reversed(nan_rec))]
+        got, keep = assert_matches_pairwise(self.att_ds(records, 2))
+        assert np.flatnonzero(keep).tolist() == [0, 1, 3, 4]
+
+    def test_nan_entry_outside_a_subset_still_deletes(self):
+        # a record listing only antenna 2 dominates through antenna 2 alone
+        records = [[(2, 9.0)], [(1, float("nan")), (2, 4.0)],
+                   [(1, 3.0), (2, float("nan"))]]
+        _, keep = assert_matches_pairwise(self.att_ds(records, 2))
+        assert np.flatnonzero(keep).tolist() == [0, 2]
+
+    def test_mixed_widths(self):
+        rng = np.random.default_rng(43)
+        levels = np.array([0.0, -0.0, 1.0, 2.0, np.nan])
+        records = []
+        for _ in range(600):
+            size = int(rng.integers(1, 5))
+            aids = rng.choice(5, size=size, replace=False) + 1
+            vals = rng.choice(levels, size=size, p=[0.3, 0.2, 0.25, 0.2, 0.05])
+            records.append(list(zip(aids.tolist(), vals.tolist())))
+        assert_matches_pairwise(self.att_ds(records, 5))
+
+    def test_memory_stays_bounded_on_one_large_set(self):
+        # 6 000 records of one set hold 18 M predecessor pairs: about
+        # 430 MB if every pair were compared at once
+        rng = np.random.default_rng(44)
+        k, m = 6000, 6
+        ids = np.tile(np.arange(1, m + 1, dtype=np.int32), (k, 1))
+        values = rng.integers(60, 80, size=(k, m)).astype(float)
+        ds = MrDataset(ids, values, "attenuation", m)
+        tracemalloc.start()
+        try:
+            remove_redundant(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestJacobianSampling:
