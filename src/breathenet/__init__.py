@@ -54,13 +54,9 @@ from .model import (
     Antenna,
     ConfigError,
     NetworkTopology,
-    ValidationReport,
-    dbm_to_watts,
-    symmetrize,
     topology_from_dict,
     topology_from_json,
     topology_to_dict,
-    validate_topology,
     watts_to_dbm,
 )
 from .mrdata import (
@@ -76,7 +72,6 @@ from .mrdata import (
     save_csv,
     subsample,
     to_attenuation,
-    to_signal,
 )
 from .synth import (
     ScenarioBundle,
@@ -96,7 +91,6 @@ from .traffic import (
     UserBatch,
     assign_users,
     sample_users,
-    total_traffic,
 )
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .coverage import save_surrogate_set, train_neighbourhood_surrogates
@@ -20,33 +21,27 @@ from .harness import (
     run_experiment,
     spec_from_dict,
 )
-from .model import topology_from_json
+from .model import AlgorithmConfig, topology_from_json
 from .mrdata import load_csv, remove_redundant
-
-_CFG_FLAGS = {
-    "epsilon": float, "gamma": float, "tau": float, "delta_p": float,
-    "n_s": int, "f_con": float, "r_c": float, "target_mode": str,
-    "top_m": int, "over_busy_threshold": float,
-    "coverage_sample": int, "svd_cutoff": float,
-}
 
 
 def _add_cfg_flags(parser: argparse.ArgumentParser) -> None:
-    for name, kind in _CFG_FLAGS.items():
-        parser.add_argument(f"--{name.replace('_', '-')}", dest=name,
-                            type=kind, default=None)
+    """One flag per AlgorithmConfig field, typed like its default."""
+    for f in fields(AlgorithmConfig):
+        parser.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
+                            type=type(f.default), default=None)
 
 
 def _load_spec(path: str, args) -> "ExperimentSpec":
     with open(path) as fh:
         raw = json.load(fh)
-    overrides = {k: getattr(args, k) for k in _CFG_FLAGS
-                 if getattr(args, k, None) is not None}
+    overrides = {f.name: getattr(args, f.name) for f in fields(AlgorithmConfig)
+                 if getattr(args, f.name, None) is not None}
     if overrides:
         raw["cfg"] = {**raw.get("cfg", {}), **overrides}
     if getattr(args, "algorithm", None):
         raw["algorithm"] = args.algorithm
-    if getattr(args, "periods", None):
+    if getattr(args, "periods", None) is not None:
         raw["periods"] = args.periods
     if getattr(args, "seed", None) is not None:
         raw["seed"] = args.seed

@@ -100,8 +100,6 @@ class ExactNeighbourhoodEvaluator:
         self.r_c = r_c
         self.n = ds.n_antennas
         self.neighbours = co_neighbours(ds)
-        self.members = [sorted({i} | self.neighbours[i - 1])
-                        for i in range(1, self.n + 1)]
         rows, cols = np.nonzero(ds.entry_mask())
         self._rows = rows
         self._aid = ds.ids[rows, cols].astype(np.int64) - 1
@@ -120,7 +118,6 @@ class FailGraph:
     """Antennas failing the coverage requirement, linked when neighbours."""
 
     vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
     components: tuple[tuple[int, ...], ...]
 
 
@@ -128,11 +125,6 @@ def build_fail_graph(rates: np.ndarray, f_con: float,
                      neighbours: list[set[int]]) -> FailGraph:
     failing = [i + 1 for i in range(len(rates)) if rates[i] < f_con]
     fail_set = set(failing)
-    edges = []
-    for i in failing:
-        for j in sorted(neighbours[i - 1]):
-            if j in fail_set and i < j:
-                edges.append((i, j))
     components = []
     seen: set[int] = set()
     for start in failing:
@@ -149,7 +141,7 @@ def build_fail_graph(rates: np.ndarray, f_con: float,
                     seen.add(w)
                     stack.append(w)
         components.append(tuple(sorted(comp)))
-    return FailGraph(tuple(failing), tuple(edges), tuple(components))
+    return FailGraph(tuple(failing), tuple(components))
 
 
 def min_power_search(powers: np.ndarray, topo: NetworkTopology, evaluator,
@@ -455,7 +447,7 @@ def train_neighbourhood_surrogates(ds: MrDataset, topo: NetworkTopology,
     mlps: dict[int, MonotoneMlp] = {}
     members: dict[int, list[int]] = {}
     for i in range(1, topo.n + 1):
-        mem = exact.members[i - 1]
+        mem = sorted({i} | exact.neighbours[i - 1])
         members[i] = mem
         cols = np.asarray(mem) - 1
         mlps[i] = train_surrogate(base[:, cols], labels[:, i - 1],

@@ -11,7 +11,7 @@ import json
 import os
 import platform
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 

@@ -37,13 +37,6 @@ class JacobianApprox:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def support_edges(self) -> np.ndarray:
-        """Directed edges (i, j), 1-based, where A~_ij != 0 for i != j."""
-        coo = self.matrix.tocoo()
-        keep = coo.row != coo.col
-        edges = np.stack([coo.row[keep] + 1, coo.col[keep] + 1], axis=1)
-        return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-
 
 def approx_from_matrix(matrix) -> JacobianApprox:
     """Wrap an explicit matrix (dense or sparse) for the solvers; handy for
@@ -166,22 +159,22 @@ class SupportGraph:
     """Directed support of the estimate plus its strong-connectivity verdict."""
 
     n: int
-    edges: tuple[tuple[int, int], ...]
     strongly_connected: bool
     components: tuple[tuple[int, ...], ...]
 
 
 def support_graph(approx: JacobianApprox) -> SupportGraph:
     n = approx.n
-    edges = [(int(a), int(b)) for a, b in approx.support_edges()]
+    coo = approx.matrix.tocoo()
     adj = [[] for _ in range(n)]
     radj = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a - 1].append(b - 1)
-        radj[b - 1].append(a - 1)
+    # edge i -> j wherever A~_ij != 0 off the diagonal
+    for a, b in zip(coo.row.tolist(), coo.col.tolist()):
+        if a != b:
+            adj[a].append(b)
+            radj[b].append(a)
     components = _strong_components(adj, radj)
-    return SupportGraph(n=n, edges=tuple(edges),
-                        strongly_connected=len(components) == 1,
+    return SupportGraph(n=n, strongly_connected=len(components) == 1,
                         components=components)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -23,10 +23,6 @@ def watts_to_dbm(p: float) -> float:
     if p <= 0:
         raise ValueError(f"power must be positive, got {p} W")
     return 10.0 * math.log10(p * 1000.0)
-
-
-def dbm_to_watts(p: float) -> float:
-    return 10.0 ** (p / 10.0) / 1000.0
 
 
 def _power_to_dbm(obj) -> float:
@@ -82,9 +78,8 @@ class NetworkTopology:
     """Immutable antenna set plus the declared neighbour relation.
 
     Antenna ids must be dense 1..n. ``neighbours[k]`` holds the neighbour ids
-    of antenna k+1. The relation is expected to be symmetric and free of
-    self-loops; ``validate_topology`` reports violations instead of fixing
-    them, ``symmetrize`` repairs them.
+    of antenna k+1 and must be free of self-loops; ``topology_from_dict``
+    also requires the relation to be symmetric.
     """
 
     antennas: tuple[Antenna, ...]
@@ -188,72 +183,6 @@ class AlgorithmConfig:
         return replace(self, **kwargs)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of validate_topology."""
-
-    symmetry_violations: tuple[tuple[int, int], ...]
-    isolated: tuple[int, ...]
-    strongly_connected: bool
-
-    @property
-    def ok(self) -> bool:
-        return not self.symmetry_violations and not self.isolated and self.strongly_connected
-
-
-def validate_topology(topo: NetworkTopology) -> ValidationReport:
-    """Check neighbour symmetry, isolation and connectivity of the topology.
-
-    The neighbour relation is treated as a directed graph (edge i->j when j is
-    declared a neighbour of i); connectivity is strong connectivity of that
-    graph, which for a symmetric relation coincides with plain connectivity.
-    """
-    n = topo.n
-    violations = []
-    for i, peers in enumerate(topo.neighbours, start=1):
-        for j in sorted(peers):
-            if i not in topo.neighbours[j - 1]:
-                violations.append((i, j))
-    isolated = tuple(i for i, peers in enumerate(topo.neighbours, start=1)
-                     if not peers) if n > 1 else ()
-
-    forward = _reachable(topo.neighbours, 0)
-    backward = _reachable(_reverse(topo.neighbours), 0)
-    connected = bool(forward.all() and backward.all())
-    return ValidationReport(tuple(violations), isolated, connected)
-
-
-def _reachable(adj: tuple[frozenset[int], ...], start: int) -> np.ndarray:
-    n = len(adj)
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for j in adj[v]:
-            if not seen[j - 1]:
-                seen[j - 1] = True
-                stack.append(j - 1)
-    return seen
-
-
-def _reverse(adj: tuple[frozenset[int], ...]) -> tuple[frozenset[int], ...]:
-    rev = [set() for _ in adj]
-    for i, peers in enumerate(adj, start=1):
-        for j in peers:
-            rev[j - 1].add(i)
-    return tuple(frozenset(s) for s in rev)
-
-
-def symmetrize(topo: NetworkTopology) -> NetworkTopology:
-    """Return a copy whose neighbour relation is the symmetric closure."""
-    closed = [set(s) for s in topo.neighbours]
-    for i, peers in enumerate(topo.neighbours, start=1):
-        for j in peers:
-            closed[j - 1].add(i)
-    return NetworkTopology(topo.antennas, tuple(frozenset(s) for s in closed))
-
-
 def topology_from_dict(d: dict) -> NetworkTopology:
     try:
         raw_antennas = d["antennas"]
@@ -274,11 +203,11 @@ def topology_from_dict(d: dict) -> NetworkTopology:
     raw_neigh = d.get("neighbours", {})
     neighbours = [frozenset(int(j) for j in raw_neigh.get(str(i), ())) for i in range(1, n + 1)]
     topo = NetworkTopology(tuple(antennas), tuple(neighbours))
-    asymmetric = validate_topology(topo).symmetry_violations
-    if asymmetric:
-        i, j = asymmetric[0]
-        raise ConfigError(f"neighbours: antenna {i} lists {j}, but antenna {j} "
-                          f"does not list {i}")
+    for i, peers in enumerate(topo.neighbours, start=1):
+        for j in sorted(peers):
+            if i not in topo.neighbours[j - 1]:
+                raise ConfigError(f"neighbours: antenna {i} lists {j}, but "
+                                  f"antenna {j} does not list {i}")
     return topo
 
 

@@ -1,5 +1,5 @@
-"""Measurement-report batches: generation from simulated users, the
-signal/attenuation domain switch, redundancy deletion and CSV persistence.
+"""Measurement-report batches: generation from simulated users, the switch
+from received signal to attenuation, redundancy deletion and CSV persistence.
 
 A record lists the ``top_m`` strongest antennas for one user, strongest first,
 so the first entry is the main service antenna. Batches are stored as padded
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -163,28 +163,15 @@ def _strongest(att: np.ndarray, powers: np.ndarray, m: int,
 def to_attenuation(ds: MrDataset, powers: np.ndarray) -> MrDataset:
     """Switch a signal-domain batch to attenuation: each entry becomes
     a = p_entry_antenna - s, with ``powers`` recorded on the result."""
-    if ds.domain != "attenuation" and ds.domain != "signal":
-        raise ValueError(f"unknown domain {ds.domain!r}")
     if ds.domain == "attenuation":
         raise ValueError("batch is already in the attenuation domain")
-    return _flip_domain(ds, powers, "attenuation")
-
-
-def to_signal(ds: MrDataset, powers: np.ndarray) -> MrDataset:
-    """Inverse of ``to_attenuation``: s = p - a under the same power vector."""
-    if ds.domain == "signal":
-        raise ValueError("batch is already in the signal domain")
-    return _flip_domain(ds, powers, "signal")
-
-
-def _flip_domain(ds: MrDataset, powers, domain: str) -> MrDataset:
     powers = np.asarray(powers, dtype=float)
     if powers.shape != (ds.n_antennas,):
         raise ValueError("power vector length does not match antenna count")
     mask = ds.entry_mask()
     safe_ids = np.where(mask, ds.ids, 1)
     values = np.where(mask, powers[safe_ids - 1] - ds.values, np.nan)
-    return MrDataset(ds.ids.copy(), values, domain, ds.n_antennas,
+    return MrDataset(ds.ids.copy(), values, "attenuation", ds.n_antennas,
                      recorded_powers=powers.copy(), raw_count=ds.raw_count)
 
 

@@ -320,11 +320,6 @@ def assign_users(users: UserBatch, powers: np.ndarray) -> np.ndarray:
     return np.argmax(received, axis=1).astype(np.int64) + 1
 
 
-def total_traffic(users: UserBatch) -> int:
-    """Network traffic of the period: sum of integer user demands."""
-    return int(users.demand.sum())
-
-
 def scenario_from_dict(d: dict) -> TrafficScenario:
     periods = []
     for p in d["periods"]:

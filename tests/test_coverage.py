@@ -226,13 +226,6 @@ class TestEvaluator:
             for i in range(1, 6):
                 assert got[i - 1] == brute_force_neighbourhood(ds, p, i, -45.0)
 
-    def test_members_cover_co_listed_antennas(self):
-        ds = att_dataset([[(1, 60.0), (3, 70.0)], [(2, 65.0)]], 3)
-        evaluator = ExactNeighbourhoodEvaluator(ds, r_c=-45.0)
-        assert evaluator.members[0] == [1, 3]
-        assert evaluator.members[1] == [2]
-        assert evaluator.neighbours[0] == {3}
-
 
     @PROPERTY
     @given(att_batches())
@@ -261,7 +254,6 @@ class TestFailGraph:
         neighbours = [{2}, {1, 3}, {2}, {5}, {4}]
         g = build_fail_graph(rates, f_con=0.8, neighbours=neighbours)
         assert g.vertices == (1, 2, 4)
-        assert g.edges == ((1, 2),)
         assert g.components == ((1, 2), (4,))
 
     def test_empty_when_all_pass(self):
@@ -418,6 +410,13 @@ class TestSurrogateFamily:
                                              n_samples=200, span=8.0,
                                              epochs=600, seed=2)
         return ds, topo, fam
+
+    def test_members_cover_co_listed_antennas(self):
+        ds = att_dataset([[(1, 60.0), (3, 70.0)], [(2, 65.0)]], 3)
+        fam = train_neighbourhood_surrogates(ds, make_topo(3), r_c=-45.0,
+                                             n_samples=100, epochs=5)
+        assert fam.members == {1: [1, 3], 2: [2], 3: [1, 3]}
+        assert fam.neighbours[0] == {3}
 
     def test_tracks_the_exact_rates(self):
         ds, topo, fam = self.family()

@@ -329,6 +329,35 @@ class TestCli:
                      "--periods", "1"]) == 0
         assert "algorithm=none periods=1" in capsys.readouterr().out
 
+    def test_zero_periods_flag_rejected(self, tmp_path):
+        from breathenet.cli import main
+
+        spec_path = self.write_spec(tmp_path)
+        with pytest.raises(ConfigError, match="periods must be at least 1"):
+            main(["run", str(spec_path), "--quiet", "--periods", "0"])
+
+    def test_every_cfg_field_is_a_flag(self, tmp_path):
+        from dataclasses import fields
+
+        from breathenet.cli import main
+
+        values = {"epsilon": 0.2, "gamma": 0.5, "tau": 0.02, "delta_p": 2.0,
+                  "n_s": 700, "f_con": 0.99, "r_c": -121.0,
+                  "target_mode": "local", "top_m": 4,
+                  "over_busy_threshold": 0.8, "coverage_sample": 500,
+                  "svd_cutoff": 0.1}
+        assert set(values) == {f.name for f in fields(AlgorithmConfig)}
+        flags = [a for k, v in values.items()
+                 for a in (f"--{k.replace('_', '-')}", str(v))]
+        out = tmp_path / "results"
+        assert main(["run", str(self.write_spec(tmp_path)), "--quiet",
+                     "--algorithm", "none", "--periods", "1", "-o", str(out),
+                     *flags]) == 0
+        cfg = json.loads((out / "manifest.json").read_text())["spec"]["cfg"]
+        assert cfg == values
+        assert {k: type(v) for k, v in cfg.items()} == \
+            {k: type(v) for k, v in values.items()}
+
     def test_readme_quick_start_config(self, tmp_path, capsys):
         from pathlib import Path
 

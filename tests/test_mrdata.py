@@ -22,7 +22,6 @@ from breathenet.mrdata import (
     save_csv,
     subsample,
     to_attenuation,
-    to_signal,
 )
 from breathenet.traffic import UserBatch, assign_users, block_rows
 
@@ -241,22 +240,11 @@ class TestDomainSwitch:
         att = to_attenuation(ds, np.array([30.0, 30.0]))
         assert len(att) == 0
 
-    def test_round_trip_identity(self):
-        rng = np.random.default_rng(2)
-        users = batch_from_attenuation(rng.uniform(60, 110, size=(300, 4)))
-        p = np.array([41.0, 43.0, 40.0, 42.0])
-        ds = generate_mr(users, p, top_m=3)
-        back = to_signal(to_attenuation(ds, p), p)
-        np.testing.assert_array_equal(back.ids, ds.ids)
-        np.testing.assert_allclose(back.values, ds.values, atol=1e-12)
-
     def test_double_switch_rejected(self):
         ds = dataset_from_records([MrRecord(((1, 20.0),))], "signal", 1)
         att = to_attenuation(ds, np.array([30.0]))
         with pytest.raises(ValueError):
             to_attenuation(att, np.array([30.0]))
-        with pytest.raises(ValueError):
-            to_signal(ds, np.array([30.0]))
 
 
 class TestRedundancyDeletion:

@@ -20,7 +20,6 @@ from breathenet.traffic import (
     sample_users,
     scenario_from_dict,
     scenario_to_dict,
-    total_traffic,
 )
 
 
@@ -71,7 +70,7 @@ class TestSampling:
         scenario = one_period(0, [Hotspot((0, 0), 1.0, 100.0)])
         users = sample_users(scenario, PathlossModel(), topo, 1)
         assert len(users) == 0
-        assert total_traffic(users) == 0
+        assert int(users.demand.sum()) == 0
 
     def test_point_blob_on_antenna_one(self):
         # users drop essentially onto antenna 1, no shadowing, so its
@@ -216,18 +215,18 @@ class TestTotalTraffic:
     def test_empty(self):
         users = UserBatch(np.zeros((0, 2)), np.zeros((0, 2)),
                           np.zeros(0, dtype=np.int64), period=1)
-        assert total_traffic(users) == 0
+        assert int(users.demand.sum()) == 0
 
     def test_three_unit_users(self):
         users = UserBatch(np.zeros((3, 2)), np.zeros((3, 2)),
                           np.ones(3, dtype=np.int64), period=1)
-        assert total_traffic(users) == 3
+        assert int(users.demand.sum()) == 3
 
     def test_sampled_period_count(self):
         topo = line_topo(2)
         scenario = one_period(500, [Hotspot((0, 0), 1.0, 200.0)])
         users = sample_users(scenario, PathlossModel(), topo, 1)
-        assert total_traffic(users) == 500
+        assert int(users.demand.sum()) == 500
 
 
 def unblocked_attenuation(positions, sites, model, k):
