@@ -29,7 +29,6 @@ from .traffic import (
     PathlossModel,
     TrafficScenario,
     _sampling_workers,
-    assign_users,
     pathloss_from_dict,
     pathloss_to_dict,
     sample_users,
@@ -464,7 +463,9 @@ def _check_laplacian(quick: bool = False) -> PropertyCheck:
         p = topo.initial_powers()
         users = sample_users(scenario, pathloss, topo, 1)
         mr = generate_mr(users, p, cfg.top_m)
-        f = busy_degrees(assign_users(users, p), users, topo)
+        # recorded at p: the serving antennas are the strongest-pilot
+        # assignment, so the matrix is never formed
+        f = busy_degrees(mr.serving(), users, topo)
         f_bar = targets(f, topo, cfg.target_mode)
         approx = estimate_jacobian(mr, p, f, f_bar, topo, cfg, seed=s)
         rep = laplacian_check(approx, f_bar)
@@ -526,8 +527,7 @@ def _check_singular_fallback(quick: bool, cfg: AlgorithmConfig) -> PropertyCheck
     p = topo.initial_powers()
     users = sample_users(scenario, pathloss, topo, 1)
     mr = generate_mr(users, p, cfg.top_m)
-    assignment = assign_users(users, p)
-    f = busy_degrees(assignment, users, topo)
+    f = busy_degrees(mr.serving(), users, topo)
     f_bar = targets(f, topo, cfg.target_mode)
     approx = estimate_jacobian(mr, p, f, f_bar, topo, cfg, seed=5)
     sg = support_graph(approx)

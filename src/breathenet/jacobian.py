@@ -99,26 +99,28 @@ def estimate_jacobian(ds: MrDataset, powers: np.ndarray, f: np.ndarray,
                       "their jacobian rows are zero")
 
     # switches keyed i * n + j by the 0-based (serving i, competitor j);
-    # padding entries get id -1
-    ids = ds.ids[rows].astype(np.int64) - 1
-    vals = ds.values[rows]
-    srv = ids[:, 0]
-    m = ids.shape[1]
+    # padding entries get id -1. The sampled rows are gathered one column
+    # at a time: each column is a small array the allocator reuses from
+    # step to step, where a whole (rows, top_m) copy is mapped afresh
+    m = ds.top_m
+    ids = [np.subtract(ds.ids[rows, c], 1, dtype=np.int64) for c in range(m)]
+    vals = [ds.values[rows, c] for c in range(m)]
+    srv = ids[0]
     down = up = np.zeros(0, dtype=np.int64)
     if m > 1:
         # down-shift: the strongest competitor is column 1 (entries are
         # sorted by value desc, ties by id asc), so it wins or nobody does
-        j1 = ids[:, 1]
-        lowered = vals[:, 0] - eps * powers[srv]
-        win = (j1 >= 0) & ((vals[:, 1] > lowered)
-                           | ((vals[:, 1] == lowered) & (j1 < srv)))
+        j1 = ids[1]
+        lowered = vals[0] - eps * powers[srv]
+        win = (j1 >= 0) & ((vals[1] > lowered)
+                           | ((vals[1] == lowered) & (j1 < srv)))
         down = srv[win] * n + j1[win]
         # up-shift: a boosted competitor must strictly beat every entry,
         # and column 0 holds the row maximum
         keys = []
         for c in range(1, m):
-            jc = ids[:, c]
-            win = (jc >= 0) & (vals[:, c] + eps * powers[jc] > vals[:, 0])
+            jc = ids[c]
+            win = (jc >= 0) & (vals[c] + eps * powers[jc] > vals[0])
             keys.append(srv[win] * n + jc[win])
         up = np.concatenate(keys)
 

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .traffic import BLOCK_ELEMENTS, UserBatch, block_rows
+from .traffic import BLOCK_ELEMENTS, UserBatch
 
 _PAD_SENTINEL = np.iinfo(np.int32).max
 
@@ -103,7 +103,11 @@ def generate_mr(users: UserBatch, powers: np.ndarray, top_m: int = 6) -> MrDatas
     Entries are sorted by received strength descending with exact ties broken
     by ascending antenna id, also where a tie straddles the top_m cut, so
     entry 0 agrees with ``assign_users``. Users are ranked one row block at a
-    time; no (U, n) temporary is allocated.
+    time as ``users.each_block`` hands the blocks over: for a sampled batch
+    that is on the attenuation kernel's own threads, while each block is
+    fresh, so no (U, n) array is ever formed. A batch rescaled from a base
+    period ranks the base's rows and takes its users' rows from them;
+    ranking is per row, so that is bitwise what ranking its own rows gives.
     """
     if top_m < 1:
         raise ValueError("top_m must be at least 1")
@@ -112,22 +116,22 @@ def generate_mr(users: UserBatch, powers: np.ndarray, top_m: int = 6) -> MrDatas
     if powers.shape != (n,):
         raise ValueError("power vector length does not match antenna count")
     m = min(top_m, n)
-    u = len(users)
-    ids = np.empty((u, m), np.int32)
-    vals = np.empty((u, m))
-    rows = block_rows(n)
-    neg = np.empty((min(rows, u), n))
-    for lo in range(0, u, rows):
-        hi = min(lo + rows, u)
-        att = users.attenuation[lo:hi]
+    ids = np.empty((users.source_rows, m), np.int32)
+    vals = np.empty((users.source_rows, m))
+
+    def rank(lo, hi, att, neg):
         if m < n:
-            part, v = _strongest(att, powers, m, neg[:hi - lo])
+            part, v = _strongest(att, powers, m, neg)
         else:
             part = np.broadcast_to(np.arange(n), (hi - lo, n))
             v = _received(att, powers, part)
         order = np.lexsort((part, -v), axis=1)
         ids[lo:hi] = np.take_along_axis(part, order, axis=1) + 1
         vals[lo:hi] = np.take_along_axis(v, order, axis=1)
+
+    users.each_block(rank)
+    if users.pick is not None:
+        ids, vals = ids[users.pick], vals[users.pick]
     return MrDataset(ids, vals, "signal", n, recorded_powers=powers.copy())
 
 

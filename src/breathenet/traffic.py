@@ -8,7 +8,7 @@ import os
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,9 +19,9 @@ from .model import ConfigError, NetworkTopology
 # no temporary grows with the user count.
 BLOCK_ELEMENTS = 1 << 17
 
-# Most threads filling one period's attenuation matrix. One of them draws the
-# sequential shadowing stream, about 37% of the kernel; past three workers
-# that draw sets the pace.
+# Most threads computing one period's attenuation blocks and handing them on
+# (to the MR ranking, say). One of them draws the sequential shadowing
+# stream, about 37% of the fill; past three workers that draw sets the pace.
 MAX_SAMPLING_WORKERS = 3
 
 
@@ -122,25 +122,225 @@ class TrafficScenario:
 class UserBatch:
     """Array-backed batch of users for one period.
 
-    ``len`` is the user count; the attenuation matrix (U x n) is frozen at
-    sampling time, so shadowing is constant for the period.
+    ``len`` is the user count. ``attenuation`` is the U x n matrix of
+    attenuation (dB) from every user to every antenna, frozen for the
+    period, so shadowing is constant within it. A batch is built either
+    from an explicit matrix or, by ``sample_users``, from an
+    ``AttenuationRecipe``: then it holds no U x n array. ``each_block``
+    streams the recipe's row blocks, and ``attenuation`` fills the whole
+    matrix through the same kernel on first access and keeps it.
     """
 
-    def __init__(self, positions: np.ndarray, attenuation: np.ndarray,
+    def __init__(self, positions: np.ndarray,
+                 attenuation: np.ndarray | AttenuationRecipe,
                  demand: np.ndarray, period: int):
         if len(positions) != len(attenuation) or len(positions) != len(demand):
             raise ValueError("batch arrays disagree on user count")
         self.positions = positions
-        self.attenuation = attenuation
         self.demand = demand
         self.period = period
+        self._recipe = (attenuation if isinstance(attenuation, AttenuationRecipe)
+                        else None)
+        self._matrix = attenuation if self._recipe is None else None
 
     def __len__(self) -> int:
         return len(self.demand)
 
     @property
     def n_antennas(self) -> int:
-        return self.attenuation.shape[1]
+        return (self._matrix if self._recipe is None else self._recipe).shape[1]
+
+    @property
+    def pick(self) -> np.ndarray | None:
+        """The source row of each user, for a batch rescaled from a base
+        period's draw; None when source row r is user r."""
+        return None if self._recipe is None else self._recipe.pick
+
+    @property
+    def source_rows(self) -> int:
+        """Rows of the matrix ``each_block`` streams."""
+        return len(self) if self._recipe is None else len(self._recipe.positions)
+
+    def each_block(self, consume) -> None:
+        """Call ``consume(lo, hi, block, spare)`` for every row block
+        [lo, hi) of the source matrix; see ``AttenuationRecipe.stream``.
+        An explicit matrix is handed over in slices on the calling thread."""
+        if self._recipe is not None:
+            self._recipe.stream(consume)
+            return
+        att = self._matrix
+        rows = block_rows(att.shape[1])
+        spare = np.empty((min(rows, len(att)), att.shape[1]))
+        for lo in range(0, len(att), rows):
+            hi = min(lo + rows, len(att))
+            consume(lo, hi, att[lo:hi], spare[:hi - lo])
+
+    @property
+    def attenuation(self) -> np.ndarray:
+        """The U x n matrix, computed on first access for a sampled batch."""
+        if self._matrix is None:
+            full = np.empty((self.source_rows, self.n_antennas))
+
+            def put(lo, hi, block, spare):
+                full[lo:hi] = block
+
+            self.each_block(put)
+            self._matrix = full if self.pick is None else full[self.pick]
+        return self._matrix
+
+
+@dataclass(frozen=True, eq=False)
+class AttenuationRecipe:
+    """What one period's attenuation matrix is computed from: the users at
+    ``positions``, the antenna ``sites``, the pathloss ``model`` and the
+    shadowing stream spawned with key ``(period, 1)`` from ``model.seed``.
+    ``pick`` (None for all) selects the source rows that make a batch
+    rescaled from this period's draw.
+    """
+
+    positions: np.ndarray
+    sites: np.ndarray
+    model: PathlossModel
+    period: int
+    pick: np.ndarray | None = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        users = len(self.positions) if self.pick is None else len(self.pick)
+        return users, len(self.sites)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def stream(self, consume) -> None:
+        """Compute reference_loss + 10*exponent*log10(max(d, 1)) + sigma*z
+        for every source row, one row block at a time, on up to
+        ``_sampling_workers()`` threads, and hand each finished block to
+        ``consume(lo, hi, block, spare)`` on the thread that finished it.
+        ``block`` holds rows [lo, hi); ``spare`` is scratch of the same
+        shape the consumer may overwrite. Both are reused once ``consume``
+        returns, and blocks arrive in no fixed order.
+
+        Every block applies the whole-matrix formula operation by operation,
+        in the same order, through ``out=`` ufuncs, so each block is bitwise
+        the matching rows of the one-shot expression whatever the thread
+        count. The shadowing stream is sequential, so one task draws sigma*z
+        for every block in order (block by block it yields the same numbers
+        as one (U, n) draw) into a pool of ``workers + 1`` buffers and
+        signals each block as it lands. The block tasks are independent:
+        each computes its geometry into scratch, waits for its draw, adds it
+        in, returns the draw's buffer to the pool and runs the consumer, so
+        memory stays a few blocks whatever the user count. With one worker,
+        or one block, each block is drawn and then finished in turn on the
+        calling thread. numpy's ufuncs and the generator release the GIL, so
+        the threads run at once. A failing task stops the draw, and a failing
+        draw releases every waiting task; the error is raised here.
+        """
+        positions, sites, model = self.positions, self.sites, self.model
+        n = len(sites)
+        rows = block_rows(n)
+        blocks = [(lo, min(lo + rows, len(positions)))
+                  for lo in range(0, len(positions), rows)]
+        workers = min(_sampling_workers(), len(blocks))
+        shadow_rng = (np.random.default_rng(
+            np.random.SeedSequence(model.seed, spawn_key=(self.period, 1)))
+            if model.shadowing_sigma > 0 else None)
+        shape = (min(rows, len(positions)), n)
+        # on threads the draw holds one worker and the blocks run on the rest
+        block_threads = (workers - 1 if shadow_rng is not None and workers > 1
+                         else max(1, workers))
+        # buffers come from this thread and are handed round: buffers
+        # allocated inside the workers grow per-thread malloc arenas
+        scratch = queue.SimpleQueue()
+        for _ in range(block_threads):
+            scratch.put(np.empty((2, *shape)))
+        shadows = queue.SimpleQueue()
+        for _ in range(workers + 1 if shadow_rng is not None else 0):
+            shadows.put(np.empty(shape))
+        slope = 10.0 * model.exponent
+
+        def draw(b):
+            lo, hi = blocks[b]
+            buf = shadows.get()
+            try:
+                shadow_rng.standard_normal(out=buf[:hi - lo])
+                np.multiply(buf[:hi - lo], model.shadowing_sigma, out=buf[:hi - lo])
+            except BaseException:
+                shadows.put(buf)
+                raise
+            return buf
+
+        def finish(b, take_draw):
+            """Block b's geometry plus its draw, ``take_draw(b)``, into the
+            consumer; a None draw (the draw failed) drops the block."""
+            lo, hi = blocks[b]
+            pair = scratch.get()
+            try:
+                geom, spare = pair[:, :hi - lo]
+                np.subtract(positions[lo:hi, 0, None], sites[None, :, 0], out=geom)
+                np.subtract(positions[lo:hi, 1, None], sites[None, :, 1], out=spare)
+                np.hypot(geom, spare, out=geom)
+                np.clip(geom, 1.0, None, out=geom)
+                np.log10(geom, out=geom)
+                np.multiply(geom, slope, out=geom)
+                np.add(geom, model.reference_loss, out=geom)
+                if shadow_rng is not None:
+                    shadow = take_draw(b)
+                    if shadow is None:
+                        return
+                    try:
+                        np.add(geom, shadow[:hi - lo], out=geom)
+                    finally:
+                        shadows.put(shadow)
+                consume(lo, hi, geom, spare)
+            finally:
+                scratch.put(pair)
+
+        if workers <= 1:
+            for b in range(len(blocks)):
+                finish(b, draw)
+            return
+
+        drawn = [None] * len(blocks)
+        ready = [threading.Event() for _ in blocks]
+        failed = threading.Event()
+
+        def draw_all():
+            try:
+                for b in range(len(blocks)):
+                    if failed.is_set():
+                        break
+                    drawn[b] = draw(b)
+                    ready[b].set()
+            finally:
+                # a failed or stopped draw must not leave a block task waiting
+                for done in ready:
+                    done.set()
+
+        def take_draw(b):
+            ready[b].wait()
+            shadow, drawn[b] = drawn[b], None
+            return shadow
+
+        def task(b):
+            try:
+                finish(b, take_draw)
+            except BaseException:
+                # stop the draw: the blocks not yet drawn are dropped
+                failed.set()
+                if shadow_rng is not None:
+                    # a block that failed before taking its draw hands it back
+                    leftover = take_draw(b)
+                    if leftover is not None:
+                        shadows.put(leftover)
+                raise
+
+        tasks = ([draw_all] if shadow_rng is not None else []) + [
+            functools.partial(task, b) for b in range(len(blocks))]
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(t) for t in tasks]
+        for future in futures:
+            future.result()
 
 
 def sample_users(scenario: TrafficScenario, model: PathlossModel,
@@ -152,6 +352,9 @@ def sample_users(scenario: TrafficScenario, model: PathlossModel,
     pathloss stream, both split per period. In proportional mode the frozen
     period's draw is reused verbatim and only thinned or tiled to the period's
     user count, so the relative density is exactly constant across periods.
+
+    The batch holds the recipe of its attenuation matrix, not the matrix:
+    ``generate_mr`` ranks the matrix block by block as it is computed.
     """
     if k < 1:
         raise ValueError(f"period index starts at 1, got {k}")
@@ -165,8 +368,7 @@ def sample_users(scenario: TrafficScenario, model: PathlossModel,
             k_eff = k_star
     if k_eff != k:
         base = sample_users(scenario, model, topo, k_eff)
-        return UserBatch(*_rescale_population(base, spec.total_users,
-                                              scenario.seed), period=k)
+        return _rescale_population(base, spec.total_users, scenario.seed, k)
     rng = np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(k,)))
 
     u = spec.total_users
@@ -192,13 +394,8 @@ def sample_users(scenario: TrafficScenario, model: PathlossModel,
     demand = (np.ones(u, dtype=np.int64) if lo == hi == 1
               else rng.integers(lo, hi + 1, size=u, dtype=np.int64))
 
-    sites = topo.positions()
-    att = np.empty((u, len(sites)))
-    shadow_rng = (np.random.default_rng(
-        np.random.SeedSequence(model.seed, spawn_key=(k, 1)))
-        if model.shadowing_sigma > 0 else None)
-    _fill_attenuation(att, positions, sites, model, shadow_rng)
-    return UserBatch(positions, att, demand, k)
+    recipe = AttenuationRecipe(positions, topo.positions(), model, k)
+    return UserBatch(positions, recipe, demand, k)
 
 
 def block_rows(n: int) -> int:
@@ -207,7 +404,7 @@ def block_rows(n: int) -> int:
 
 
 def _sampling_workers() -> int:
-    """Threads that fill one period's attenuation matrix: the cores this
+    """Threads that compute one period's attenuation blocks: the cores this
     process may run on, at most ``MAX_SAMPLING_WORKERS``."""
     try:
         cores = len(os.sched_getaffinity(0))
@@ -216,92 +413,26 @@ def _sampling_workers() -> int:
     return min(MAX_SAMPLING_WORKERS, cores)
 
 
-def _fill_attenuation(att: np.ndarray, positions: np.ndarray, sites: np.ndarray,
-                      model: PathlossModel, shadow_rng) -> None:
-    """Write reference_loss + 10*exponent*log10(max(d, 1)) + sigma*z into
-    ``att``, one row block at a time, on up to ``_sampling_workers()`` threads.
-
-    Every block applies the whole-matrix formula operation by operation, in
-    the same order, through ``out=`` ufuncs, so ``att`` is bitwise what the
-    one-shot expression gives whatever the thread count. The shadowing
-    stream is sequential, so one task draws sigma*z for every block in order
-    straight into ``att`` (block by block it yields the same numbers as one
-    (U, n) draw) and signals each block as it lands. The geometry tasks are
-    independent: each computes its block into scratch, waits for that block's
-    draw and adds it in. With one worker, or one block, the tasks run inline
-    in submission order: the draw first, then the blocks. numpy's ufuncs and
-    the generator release the GIL, so the workers run at once.
-    """
-    n = att.shape[1]
-    rows = block_rows(n)
-    blocks = [(lo, min(lo + rows, len(att))) for lo in range(0, len(att), rows)]
-    workers = min(_sampling_workers(), len(blocks))
-    drawn = [threading.Event() for _ in blocks] if shadow_rng is not None else None
-    # scratch comes from this thread and is handed round, one pair per worker:
-    # buffers allocated inside the workers grow per-thread malloc arenas
-    scratch = queue.SimpleQueue()
-    for _ in range(max(1, workers)):
-        scratch.put(np.empty((2, min(rows, len(att)), n)))
-    slope = 10.0 * model.exponent
-
-    def draw():
-        try:
-            for (lo, hi), done in zip(blocks, drawn):
-                blk = att[lo:hi]
-                shadow_rng.standard_normal(out=blk)
-                np.multiply(blk, model.shadowing_sigma, out=blk)
-                done.set()
-        finally:
-            # a failed draw must not leave a geometry task waiting
-            for done in drawn:
-                done.set()
-
-    def geometry(b):
-        lo, hi = blocks[b]
-        pair = scratch.get()
-        try:
-            bx, by = pair[:, :hi - lo]
-            geom = bx if drawn is not None else att[lo:hi]
-            np.subtract(positions[lo:hi, 0, None], sites[None, :, 0], out=bx)
-            np.subtract(positions[lo:hi, 1, None], sites[None, :, 1], out=by)
-            np.hypot(bx, by, out=geom)
-            np.clip(geom, 1.0, None, out=geom)
-            np.log10(geom, out=geom)
-            np.multiply(geom, slope, out=geom)
-            np.add(geom, model.reference_loss, out=geom)
-            if drawn is not None:
-                drawn[b].wait()
-                np.add(geom, att[lo:hi], out=att[lo:hi])
-        finally:
-            scratch.put(pair)
-
-    tasks = ([draw] if drawn is not None else []) + [
-        functools.partial(geometry, b) for b in range(len(blocks))]
-    if workers <= 1:
-        for task in tasks:
-            task()
-        return
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-    for future in futures:
-        future.result()
-
-
-def _rescale_population(base: UserBatch, total: int, seed: int):
+def _rescale_population(base: UserBatch, total: int, seed: int,
+                        period: int) -> UserBatch:
     """Thin or tile a frozen population to ``total`` users.
 
     A single scenario-level permutation gives nested subsets, so shrinking
     from one count to a smaller one always drops users rather than swapping
-    them; growth repeats the whole population before topping up.
+    them; growth repeats the whole population before topping up. The
+    result keeps the base's recipe with the picked rows, so its matrix is
+    never computed apart from the base's.
     """
     u_star = len(base)
     if total == u_star or u_star == 0:
-        return base.positions, base.attenuation, base.demand
+        return UserBatch(base.positions, base._recipe, base.demand, period)
     perm = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(0, 97))).permutation(u_star)
     reps, rem = divmod(total, u_star)
     pick = np.concatenate([np.tile(np.arange(u_star), reps), perm[:rem]])
-    return base.positions[pick], base.attenuation[pick], base.demand[pick]
+    return UserBatch(base.positions[pick],
+                     replace(base._recipe, pick=pick),
+                     base.demand[pick], period)
 
 
 def assign_users(users: UserBatch, powers: np.ndarray) -> np.ndarray:

@@ -3,12 +3,14 @@
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from breathenet import traffic
 from breathenet.model import Antenna, ConfigError, NetworkTopology
+from breathenet.mrdata import generate_mr
 from breathenet.traffic import (
     Hotspot,
     PathlossModel,
@@ -247,23 +249,25 @@ WORKER_COUNTS = (1, 2, 3)
 
 
 def sample_per_worker_count(monkeypatch, *args):
-    """sample_users(*args) once per worker count, keyed by the count."""
+    """sample_users(*args) once per worker count, keyed by the count, with
+    the matrix filled under that count."""
     batches = {}
     for workers in WORKER_COUNTS:
         monkeypatch.setattr(traffic, "_sampling_workers", lambda: workers)
         batches[workers] = sample_users(*args)
+        batches[workers].attenuation  # the fill runs on first access
     return batches
 
 
-def sample_in_time(*args, timeout=60.0):
-    """sample_users(*args) on a thread joined with a timeout: the batch, or
-    the exception it raised. The fill must end and leave no worker behind."""
+def in_time(call, timeout=60.0):
+    """call() on a thread joined with a timeout: its result, or the
+    exception it raised. The kernel must end and leave no worker behind."""
     before = set(threading.enumerate())
     outcome = []
 
     def run():
         try:
-            outcome.append(sample_users(*args))
+            outcome.append(call())
         except Exception as exc:
             outcome.append(exc)
 
@@ -273,6 +277,17 @@ def sample_in_time(*args, timeout=60.0):
     assert not caller.is_alive(), "the fill is still waiting"
     assert set(threading.enumerate()) <= before
     return outcome[0]
+
+
+def sample_in_time(*args):
+    """sample_users(*args) with its matrix filled, through ``in_time``."""
+
+    def fill():
+        batch = sample_users(*args)
+        batch.attenuation
+        return batch
+
+    return in_time(fill)
 
 
 class FailingDraw:
@@ -290,9 +305,9 @@ class FailingDraw:
 
 
 class TestBlockedAttenuation:
-    """sample_users fills the matrix in row blocks on one to three threads;
-    under every worker count it must be bitwise the one-shot formula on both
-    sides of every block edge."""
+    """The attenuation kernel fills the matrix in row blocks on one to three
+    threads; under every worker count it must be bitwise the one-shot
+    formula on both sides of every block edge."""
 
     N = 64
     B = block_rows(N)
@@ -398,6 +413,116 @@ class TestBlockedAttenuation:
                 monkeypatch, scenario, model, topo, 2).items():
             assert np.array_equal(got.positions, base.positions[pick]), workers
             assert np.array_equal(got.attenuation, want_base[pick]), workers
+
+
+class TestStreamedRanking:
+    """generate_mr ranks each block of a sampled batch as the kernel
+    finishes it, on the kernel's threads. Under every worker count the
+    reports must be bitwise generate_mr on the explicit one-shot matrix."""
+
+    N = 64
+    B = block_rows(N)
+    POWERS = 40.0 + np.arange(N) % 7
+
+    def scenario(self, *counts, mode="free"):
+        spots = (Hotspot((4000.0, 300.0), 0.6, 2500.0),
+                 Hotspot((7000.0, -200.0), 0.4, 900.0))
+        return TrafficScenario(
+            periods=tuple(PeriodSpec(c, spots) for c in counts), seed=29,
+            mode=mode)
+
+    def assert_streamed(self, monkeypatch, scenario, model, k, top_m=6,
+                        want_att=None):
+        """generate_mr(sample_users(..., k)) under each worker count equals
+        generate_mr on the batch's explicit matrix ``want_att(batch, topo)``,
+        by default the one-shot formula at the batch's own positions."""
+        topo = line_topo(self.N, spacing=150.0)
+        if want_att is None:
+            def want_att(batch, topo):
+                return unblocked_attenuation(batch.positions, topo.positions(),
+                                             model, k)
+        for workers in WORKER_COUNTS:
+            monkeypatch.setattr(traffic, "_sampling_workers", lambda: workers)
+            batch = sample_users(scenario, model, topo, k)
+            got = generate_mr(batch, self.POWERS, top_m)
+            explicit = UserBatch(batch.positions, want_att(batch, topo),
+                                 batch.demand, k)
+            want = generate_mr(explicit, self.POWERS, top_m)
+            assert np.array_equal(got.ids, want.ids), workers
+            assert np.array_equal(got.values, want.values), workers
+            assert got.ids.shape == (len(batch), min(top_m, self.N))
+
+    @pytest.mark.parametrize("users", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    def test_matches_the_explicit_matrix(self, monkeypatch, users):
+        model = PathlossModel(exponent=3.3, shadowing_sigma=5.0, seed=31)
+        self.assert_streamed(monkeypatch, self.scenario(users, users), model, 2)
+
+    def test_without_shadowing(self, monkeypatch):
+        model = PathlossModel(shadowing_sigma=0.0, seed=31)
+        self.assert_streamed(monkeypatch, self.scenario(2 * self.B + 3), model, 1)
+
+    @pytest.mark.parametrize("top_m", [N, N + 5])
+    def test_top_m_at_least_the_antenna_count(self, monkeypatch, top_m):
+        self.assert_streamed(monkeypatch, self.scenario(self.B + 5),
+                             PathlossModel(seed=31), 1, top_m=top_m)
+
+    @pytest.mark.parametrize("later", [B // 3, 2 * B + 11], ids=["thin", "tile"])
+    def test_proportional_rescale(self, monkeypatch, later):
+        base_users = self.B + 9
+        scenario = self.scenario(base_users, later, mode="proportional")
+        model = PathlossModel(seed=43)
+        perm = np.random.default_rng(
+            np.random.SeedSequence(29, spawn_key=(0, 97))).permutation(base_users)
+        reps, rem = divmod(later, base_users)
+        pick = np.concatenate([np.tile(np.arange(base_users), reps), perm[:rem]])
+
+        def base_rows(batch, topo):
+            base = sample_users(scenario, model, topo, 1)
+            assert np.array_equal(batch.positions, base.positions[pick])
+            return unblocked_attenuation(base.positions, topo.positions(),
+                                         model, 1)[pick]
+
+        self.assert_streamed(monkeypatch, scenario, model, 2, want_att=base_rows)
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_a_failing_consumer_is_raised_and_frees_every_worker(
+            self, monkeypatch, workers):
+        monkeypatch.setattr(traffic, "_sampling_workers", lambda: workers)
+        topo = line_topo(self.N, spacing=150.0)
+        batch = sample_users(self.scenario(6 * self.B), PathlossModel(seed=3),
+                             topo, 1)
+        seen = []
+
+        def consume(lo, hi, block, spare):
+            seen.append(lo)
+            if lo == 2 * self.B:
+                raise RuntimeError("consumer failed")
+
+        got = in_time(lambda: batch.each_block(consume))
+        assert isinstance(got, RuntimeError)
+        assert str(got) == "consumer failed"
+        assert 2 * self.B in seen
+        # the batch streams again in full afterwards
+        seen.clear()
+        batch.each_block(lambda lo, hi, block, spare: seen.append(lo))
+        assert sorted(seen) == list(range(0, 6 * self.B, self.B))
+
+    def test_one_period_holds_no_user_by_antenna_matrix(self, monkeypatch):
+        # 20k users x 1000 antennas: the matrix alone would be 160 MB
+        monkeypatch.setattr(traffic, "_sampling_workers",
+                            lambda: traffic.MAX_SAMPLING_WORKERS)
+        topo = line_topo(1000, spacing=30.0)
+        scenario = one_period(20000, [Hotspot((15000.0, 0.0), 1.0, 8000.0)],
+                              seed=3)
+        tracemalloc.start()
+        try:
+            mr = generate_mr(sample_users(scenario, PathlossModel(seed=4), topo, 1),
+                             topo.initial_powers())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(mr) == 20000
+        assert peak < 16 * 2**20, peak / 2**20
 
 
 class TestSamplingWorkers:
