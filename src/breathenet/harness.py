@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import importlib.metadata
+import inspect
 import json
 import os
 import platform
@@ -24,7 +25,15 @@ from .coverage import ExactNeighbourhoodEvaluator, exact_coverage
 from .jacobian import approx_from_matrix, estimate_jacobian, laplacian_check, support_graph
 from .model import AlgorithmConfig, ConfigError, NetworkTopology, topology_from_dict, topology_to_dict
 from .mrdata import generate_mr, remove_redundant, subsample, to_attenuation
-from .synth import ScenarioBundle, drift_bundle, proportional_bundle, random_bundle, tidal_bundle, two_island_bundle
+from .synth import (
+    ScenarioBundle,
+    drift_bundle,
+    grid_topology,
+    proportional_bundle,
+    random_bundle,
+    tidal_bundle,
+    two_island_bundle,
+)
 from .traffic import (
     PathlossModel,
     TrafficScenario,
@@ -85,10 +94,17 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     """
     if "bundle" in d:
         block = dict(d["bundle"])
+        if "name" not in block:
+            raise ConfigError("the bundle block is missing its 'name'")
         name = block.pop("name")
         if name not in _BUNDLES:
             raise ConfigError(f"unknown bundle {name!r}; "
                               f"choose from {sorted(_BUNDLES)}")
+        allowed = _bundle_keywords(_BUNDLES[name])
+        unknown = sorted(set(block) - allowed)
+        if unknown:
+            raise ConfigError(f"bundle {name!r} takes no keyword(s) {unknown}; "
+                              f"choose from {sorted(allowed)}")
         topo, pathloss, scenario = _BUNDLES[name](**block)
     else:
         try:
@@ -106,6 +122,17 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         output_dir=d.get("output_dir"),
         raw=d,
     )
+
+
+def _bundle_keywords(factory: Callable[..., ScenarioBundle]) -> set[str]:
+    """The keywords a bundle generator takes: its own parameters, plus the
+    ``grid_topology`` options it forwards through ``**grid_kw``."""
+    params = inspect.signature(factory).parameters.values()
+    names = {p.name for p in params if p.kind is not p.VAR_KEYWORD}
+    if any(p.kind is p.VAR_KEYWORD for p in params):
+        # the bundles fix the grid's shape themselves
+        names |= set(inspect.signature(grid_topology).parameters) - {"nx", "ny"}
+    return names
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
@@ -416,6 +443,10 @@ def compare_runs(a: MetricsSeries, b: MetricsSeries) -> dict:
     proportion and the mean step wall-clock; d_inf and the minimum coverage
     ride along for context.
     """
+    for label, run in (("a", a), ("b", b)):
+        if not len(run):
+            raise ValueError(f"run {label} completed no period; "
+                             "there is nothing to compare")
     if len(a) != len(b):
         raise ValueError(f"runs cover different period counts "
                          f"({len(a)} vs {len(b)})")

@@ -16,6 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .model import ConfigError
 from .traffic import BLOCK_ELEMENTS, UserBatch
 
 _PAD_SENTINEL = np.iinfo(np.int32).max
@@ -371,11 +372,14 @@ class LoadReport:
     rejected: int
 
 
+_CSV_COLUMNS = ("record_id", "rank", "antenna_id", "value", "domain")
+
+
 def save_csv(ds: MrDataset, path) -> None:
     """Persist as (record_id, rank, antenna_id, value, domain) rows."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["record_id", "rank", "antenna_id", "value", "domain"])
+        w.writerow(_CSV_COLUMNS)
         mask = ds.entry_mask()
         for row in range(len(ds)):
             rank = 1
@@ -394,19 +398,30 @@ def load_csv(path, n_antennas: int, powers=None) -> tuple[MrDataset, LoadReport]
     duplicate antenna ids, out-of-range ids, non-finite values, or its first
     entry is not the strongest (signal domain; for attenuation batches the
     recording ``powers`` are required to reconstruct received strengths).
+    A missing column, an unknown domain or a field that is not a number
+    raises ``ConfigError`` naming the line and the field.
     """
     by_record: dict[int, list[tuple[int, int, float]]] = {}
     domain = None
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rid = int(row["record_id"])
+        reader = csv.DictReader(fh)
+        missing = [c for c in _CSV_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError(f"{path}: line 1: missing column(s) {missing}")
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
             dom = row["domain"]
+            if dom not in ("signal", "attenuation"):
+                raise ConfigError(f"{where}: unknown domain {dom!r}")
             if domain is None:
                 domain = dom
             elif domain != dom:
                 raise ValueError("mixed record domains in one batch")
+            rid = _csv_number(row, "record_id", int, where)
             by_record.setdefault(rid, []).append(
-                (int(row["rank"]), int(row["antenna_id"]), float(row["value"])))
+                (_csv_number(row, "rank", int, where),
+                 _csv_number(row, "antenna_id", int, where),
+                 _csv_number(row, "value", float, where)))
     if domain is None:
         domain = "signal"
     if domain == "attenuation" and powers is None:
@@ -435,6 +450,15 @@ def load_csv(path, n_antennas: int, powers=None) -> tuple[MrDataset, LoadReport]
     ds = dataset_from_records(kept_records, domain, n_antennas,
                               recorded_powers=pvec)
     return ds, LoadReport(kept=len(kept_records), rejected=rejected)
+
+
+def _csv_number(row: dict, column: str, kind, where: str):
+    """``kind(row[column])``, or a ConfigError naming the line and column."""
+    try:
+        return kind(row[column])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: {column} {row[column]!r} is not "
+                          f"a valid {kind.__name__}") from None
 
 
 def subsample(ds: MrDataset, cap: int, seed: int = 0) -> MrDataset:

@@ -3,7 +3,6 @@ pathloss with frozen shadowing, and strongest-pilot user assignment."""
 
 from __future__ import annotations
 
-import functools
 import os
 import queue
 import threading
@@ -19,9 +18,10 @@ from .model import ConfigError, NetworkTopology
 # no temporary grows with the user count.
 BLOCK_ELEMENTS = 1 << 17
 
-# Most threads computing one period's attenuation blocks and handing them on
-# (to the MR ranking, say). One of them draws the sequential shadowing
-# stream, about 37% of the fill; past three workers that draw sets the pace.
+# Most threads filling one period's attenuation. The calling thread draws the
+# sequential shadowing stream, about 37% of the fill, and the others compute
+# the blocks and hand them on (to the MR ranking, say); past three threads
+# that draw sets the pace.
 MAX_SAMPLING_WORKERS = 3
 
 
@@ -127,7 +127,9 @@ class UserBatch:
     period, so shadowing is constant within it. A batch is built either
     from an explicit matrix or, by ``sample_users``, from an
     ``AttenuationRecipe``: then it holds no U x n array. ``each_block``
-    streams the recipe's row blocks, and ``attenuation`` fills the whole
+    streams the recipe's row blocks: the calling thread draws the shadowing
+    and the other workers compute the blocks and run the consumer on them
+    (``generate_mr`` ranks them there). ``attenuation`` fills the whole
     matrix through the same kernel on first access and keeps it.
     """
 
@@ -224,17 +226,18 @@ class AttenuationRecipe:
         Every block applies the whole-matrix formula operation by operation,
         in the same order, through ``out=`` ufuncs, so each block is bitwise
         the matching rows of the one-shot expression whatever the thread
-        count. The shadowing stream is sequential, so one task draws sigma*z
-        for every block in order (block by block it yields the same numbers
-        as one (U, n) draw) into a pool of ``workers + 1`` buffers and
-        signals each block as it lands. The block tasks are independent:
-        each computes its geometry into scratch, waits for its draw, adds it
-        in, returns the draw's buffer to the pool and runs the consumer, so
-        memory stays a few blocks whatever the user count. With one worker,
-        or one block, each block is drawn and then finished in turn on the
-        calling thread. numpy's ufuncs and the generator release the GIL, so
-        the threads run at once. A failing task stops the draw, and a failing
-        draw releases every waiting task; the error is raised here.
+        count. The shadowing stream is sequential, so the calling thread
+        draws sigma*z for every block in order (block by block it yields the
+        same numbers as one (U, n) draw) into a pool of ``workers + 1``
+        buffers and submits each drawn block to the other workers (to every
+        worker without shadowing). A block task computes the geometry into
+        scratch, adds the draw in, returns the draw's buffer to the pool and
+        runs the consumer, so memory stays a few blocks whatever the user
+        count. With one worker, or one block, each block is drawn and then
+        finished in turn on the calling thread. numpy's ufuncs and the
+        generator release the GIL, so the threads run at once. A failing
+        block ends the draw, dropping the blocks not yet drawn, and its error
+        is raised here once the submitted blocks have ended.
         """
         positions, sites, model = self.positions, self.sites, self.model
         n = len(sites)
@@ -246,7 +249,7 @@ class AttenuationRecipe:
             np.random.SeedSequence(model.seed, spawn_key=(self.period, 1)))
             if model.shadowing_sigma > 0 else None)
         shape = (min(rows, len(positions)), n)
-        # on threads the draw holds one worker and the blocks run on the rest
+        # on threads the calling thread draws and the blocks run on the rest
         block_threads = (workers - 1 if shadow_rng is not None and workers > 1
                          else max(1, workers))
         # buffers come from this thread and are handed round: buffers
@@ -258,8 +261,12 @@ class AttenuationRecipe:
         for _ in range(workers + 1 if shadow_rng is not None else 0):
             shadows.put(np.empty(shape))
         slope = 10.0 * model.exponent
+        failed = threading.Event()
 
         def draw(b):
+            """Block b's sigma*z in a pool buffer, or None without shadowing."""
+            if shadow_rng is None:
+                return None
             lo, hi = blocks[b]
             buf = shadows.get()
             try:
@@ -270,75 +277,43 @@ class AttenuationRecipe:
                 raise
             return buf
 
-        def finish(b, take_draw):
-            """Block b's geometry plus its draw, ``take_draw(b)``, into the
-            consumer; a None draw (the draw failed) drops the block."""
+        def finish(b, shadow):
+            """Block b's geometry plus its draw ``shadow`` into the consumer."""
             lo, hi = blocks[b]
             pair = scratch.get()
             try:
                 geom, spare = pair[:, :hi - lo]
-                np.subtract(positions[lo:hi, 0, None], sites[None, :, 0], out=geom)
-                np.subtract(positions[lo:hi, 1, None], sites[None, :, 1], out=spare)
-                np.hypot(geom, spare, out=geom)
-                np.clip(geom, 1.0, None, out=geom)
-                np.log10(geom, out=geom)
-                np.multiply(geom, slope, out=geom)
-                np.add(geom, model.reference_loss, out=geom)
-                if shadow_rng is not None:
-                    shadow = take_draw(b)
-                    if shadow is None:
-                        return
-                    try:
+                try:
+                    np.subtract(positions[lo:hi, 0, None], sites[None, :, 0], out=geom)
+                    np.subtract(positions[lo:hi, 1, None], sites[None, :, 1], out=spare)
+                    np.hypot(geom, spare, out=geom)
+                    np.clip(geom, 1.0, None, out=geom)
+                    np.log10(geom, out=geom)
+                    np.multiply(geom, slope, out=geom)
+                    np.add(geom, model.reference_loss, out=geom)
+                    if shadow is not None:
                         np.add(geom, shadow[:hi - lo], out=geom)
-                    finally:
+                finally:
+                    if shadow is not None:
                         shadows.put(shadow)
                 consume(lo, hi, geom, spare)
+            except BaseException:
+                failed.set()  # ends the draw loop below
+                raise
             finally:
                 scratch.put(pair)
 
         if workers <= 1:
             for b in range(len(blocks)):
-                finish(b, draw)
+                finish(b, draw(b))
             return
 
-        drawn = [None] * len(blocks)
-        ready = [threading.Event() for _ in blocks]
-        failed = threading.Event()
-
-        def draw_all():
-            try:
-                for b in range(len(blocks)):
-                    if failed.is_set():
-                        break
-                    drawn[b] = draw(b)
-                    ready[b].set()
-            finally:
-                # a failed or stopped draw must not leave a block task waiting
-                for done in ready:
-                    done.set()
-
-        def take_draw(b):
-            ready[b].wait()
-            shadow, drawn[b] = drawn[b], None
-            return shadow
-
-        def task(b):
-            try:
-                finish(b, take_draw)
-            except BaseException:
-                # stop the draw: the blocks not yet drawn are dropped
-                failed.set()
-                if shadow_rng is not None:
-                    # a block that failed before taking its draw hands it back
-                    leftover = take_draw(b)
-                    if leftover is not None:
-                        shadows.put(leftover)
-                raise
-
-        tasks = ([draw_all] if shadow_rng is not None else []) + [
-            functools.partial(task, b) for b in range(len(blocks))]
-        with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(t) for t in tasks]
+        futures = []
+        with ThreadPoolExecutor(block_threads) as pool:
+            for b in range(len(blocks)):
+                if failed.is_set():
+                    break
+                futures.append(pool.submit(finish, b, draw(b)))
         for future in futures:
             future.result()
 

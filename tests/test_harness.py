@@ -69,6 +69,21 @@ class TestSpecs:
         with pytest.raises(ConfigError, match="unknown bundle"):
             spec_from_dict({"bundle": {"name": "volcano"}})
 
+    def test_bundle_without_name_rejected(self):
+        with pytest.raises(ConfigError, match="missing its 'name'"):
+            spec_from_dict({"bundle": {"nx": 2, "ny": 2}})
+
+    @pytest.mark.parametrize("name, key", [("tidal", "peroids"),
+                                           ("two-island", "prb")])
+    def test_unknown_bundle_keyword_named(self, name, key):
+        with pytest.raises(ConfigError, match=f"no keyword\\(s\\) \\['{key}'\\]"):
+            spec_from_dict({"bundle": {"name": name, key: 3}})
+
+    def test_bundle_forwards_grid_keywords(self):
+        spec = spec_from_dict({"bundle": {"name": "random", "nx": 2, "ny": 2,
+                                          "total_users": 100, "prb": 7}})
+        assert {a.r for a in spec.topo.antennas} == {7}
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError):
             quick_spec(algorithm="magic")
@@ -281,6 +296,12 @@ class TestCompareRuns:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             compare_runs(series([1], std=0.1), series([1, 2], std=0.1))
+
+    @pytest.mark.parametrize("a_periods, empty_run", [([], "a"), ([1], "b")])
+    def test_run_without_periods_named(self, a_periods, empty_run):
+        a, b = series(a_periods, std=0.1), series([], std=0.1)
+        with pytest.raises(ValueError, match=f"run {empty_run} completed no period"):
+            compare_runs(a, b)
 
 
 def test_property_suite_quick_passes():

@@ -23,6 +23,7 @@ from breathenet.mrdata import (
     subsample,
     to_attenuation,
 )
+from breathenet.model import ConfigError
 from breathenet.traffic import UserBatch, assign_users, block_rows
 
 
@@ -561,6 +562,28 @@ class TestCsvRoundTrip:
             load_csv(path, n_antennas=1)
         ds, report = load_csv(path, n_antennas=1, powers=np.array([30.0]))
         assert report.kept == 1
+
+    def test_unknown_domain_names_the_line(self, tmp_path):
+        path = tmp_path / "mr.csv"
+        path.write_text("record_id,rank,antenna_id,value,domain\n"
+                        "1,1,1,-70.0,signal\n"
+                        "2,1,1,-70.0,Signal\n")
+        with pytest.raises(ConfigError, match=r"line 3: unknown domain 'Signal'"):
+            load_csv(path, n_antennas=1)
+
+    def test_missing_domain_column_named(self, tmp_path):
+        path = tmp_path / "mr.csv"
+        path.write_text("record_id,rank,antenna_id,value\n1,1,1,-70.0\n")
+        with pytest.raises(ConfigError, match=r"line 1: missing column\(s\) \['domain'\]"):
+            load_csv(path, n_antennas=1)
+
+    def test_unparsable_number_names_the_line_and_field(self, tmp_path):
+        path = tmp_path / "mr.csv"
+        path.write_text("record_id,rank,antenna_id,value,domain\n"
+                        "1,1,1,-70.0,signal\n"
+                        "1,2,2,strong,signal\n")
+        with pytest.raises(ConfigError, match=r"line 3: value 'strong' is not a valid float"):
+            load_csv(path, n_antennas=2)
 
     def test_warns_when_nothing_valid(self, tmp_path):
         path = tmp_path / "mr.csv"

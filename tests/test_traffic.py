@@ -290,16 +290,28 @@ def sample_in_time(*args):
     return in_time(fill)
 
 
-class FailingDraw:
-    """A shadowing generator whose draw for the second block raises."""
+def at_each_worker_count(name, points):
+    """Parametrize ``workers`` over WORKER_COUNTS and ``name`` over the
+    values of ``points``; the first point's cases keep the bare worker-count
+    id, the others append their key."""
+    first = next(iter(points))
+    return pytest.mark.parametrize(("workers", name), [
+        pytest.param(workers, value,
+                     id=str(workers) if key == first else f"{workers}-{key}")
+        for key, value in points.items() for workers in WORKER_COUNTS])
 
-    def __init__(self, rng):
+
+class FailingDraw:
+    """A shadowing generator whose draw for block ``fail_at`` (from 1) raises."""
+
+    def __init__(self, rng, fail_at):
         self.rng = rng
+        self.fail_at = fail_at
         self.draws = 0
 
     def standard_normal(self, out):
         self.draws += 1
-        if self.draws == 2:
+        if self.draws == self.fail_at:
             raise RuntimeError("shadowing draw failed")
         return self.rng.standard_normal(out=out)
 
@@ -353,15 +365,17 @@ class TestBlockedAttenuation:
         topo, batches = self.sample(monkeypatch, users, model)
         self.assert_unblocked(topo, batches, model)
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    # the first draw fails before any block is submitted
+    @at_each_worker_count("fail_at", {"second": 2, "first": 1})
     def test_a_failing_draw_is_raised_and_frees_every_worker(self, monkeypatch,
-                                                             workers):
+                                                             workers, fail_at):
         real_rng = np.random.default_rng
 
         def rng_for(seed):
             rng = real_rng(seed)
             # the shadowing stream is the one spawned with key (k, 1)
-            return FailingDraw(rng) if seed.spawn_key == (1, 1) else rng
+            return (FailingDraw(rng, fail_at) if seed.spawn_key == (1, 1)
+                    else rng)
 
         monkeypatch.setattr(np.random, "default_rng", rng_for)
         monkeypatch.setattr(traffic, "_sampling_workers", lambda: workers)
@@ -484,9 +498,9 @@ class TestStreamedRanking:
 
         self.assert_streamed(monkeypatch, scenario, model, 2, want_att=base_rows)
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @at_each_worker_count("failing_block", {"third": 2, "first": 0, "last": 5})
     def test_a_failing_consumer_is_raised_and_frees_every_worker(
-            self, monkeypatch, workers):
+            self, monkeypatch, workers, failing_block):
         monkeypatch.setattr(traffic, "_sampling_workers", lambda: workers)
         topo = line_topo(self.N, spacing=150.0)
         batch = sample_users(self.scenario(6 * self.B), PathlossModel(seed=3),
@@ -495,13 +509,13 @@ class TestStreamedRanking:
 
         def consume(lo, hi, block, spare):
             seen.append(lo)
-            if lo == 2 * self.B:
+            if lo == failing_block * self.B:
                 raise RuntimeError("consumer failed")
 
         got = in_time(lambda: batch.each_block(consume))
         assert isinstance(got, RuntimeError)
         assert str(got) == "consumer failed"
-        assert 2 * self.B in seen
+        assert failing_block * self.B in seen
         # the batch streams again in full afterwards
         seen.clear()
         batch.each_block(lambda lo, hi, block, spare: seen.append(lo))
