@@ -21,7 +21,7 @@ from .harness import (
     run_experiment,
     spec_from_dict,
 )
-from .model import AlgorithmConfig, topology_from_json
+from .model import AlgorithmConfig, ConfigError, topology_from_json
 from .mrdata import load_csv, remove_redundant
 
 
@@ -65,9 +65,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    a = MetricsSeries.from_csv(Path(args.dir_a) / "metrics.csv")
-    b = MetricsSeries.from_csv(Path(args.dir_b) / "metrics.csv")
-    print(json.dumps(compare_runs(a, b), indent=2))
+    runs = []
+    for directory in (args.dir_a, args.dir_b):
+        run = MetricsSeries.from_csv(Path(directory) / "metrics.csv")
+        if not len(run):
+            raise ConfigError(f"{directory}: metrics.csv holds no period")
+        runs.append(run)
+    print(json.dumps(compare_runs(*runs), indent=2))
     return 0
 
 
@@ -158,8 +162,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.handler(args)
+    """Run one subcommand. Bad input (a ``ConfigError``) ends it with
+    argparse's one-line ``error:`` message and exit status 2."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.handler(args)
+    except ConfigError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -166,60 +166,23 @@ class SupportGraph:
 
 
 def support_graph(approx: JacobianApprox) -> SupportGraph:
-    n = approx.n
-    coo = approx.matrix.tocoo()
-    adj = [[] for _ in range(n)]
-    radj = [[] for _ in range(n)]
-    # edge i -> j wherever A~_ij != 0 off the diagonal
-    for a, b in zip(coo.row.tolist(), coo.col.tolist()):
-        if a != b:
-            adj[a].append(b)
-            radj[b].append(a)
-    components = _strong_components(adj, radj)
-    return SupportGraph(n=n, strongly_connected=len(components) == 1,
+    """Strong components of the estimate's support, with an edge i -> j
+    wherever A~_ij is stored (a stored zero counts). Components list 1-based
+    ids in ascending order and are ordered by their smallest member."""
+    # imported on first use: csgraph loads scipy.linalg and
+    # scipy.sparse.linalg, about 10 MB resident that a run which never
+    # names the components does not need
+    from scipy.sparse.csgraph import connected_components
+
+    count, labels = connected_components(approx.matrix, directed=True,
+                                         connection="strong")
+    members = [[] for _ in range(count)]
+    for v, label in enumerate(labels.tolist()):
+        members[label].append(v + 1)
+    # disjoint ascending tuples sort by their first, smallest, member
+    components = tuple(sorted(map(tuple, members)))
+    return SupportGraph(n=approx.n, strongly_connected=count == 1,
                         components=components)
-
-
-def _strong_components(adj, radj) -> tuple[tuple[int, ...], ...]:
-    """Kosaraju with iterative DFS; components listed with 1-based ids."""
-    n = len(adj)
-    seen = np.zeros(n, dtype=bool)
-    order = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [(start, iter(adj[start]))]
-        seen[start] = True
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(v)
-                stack.pop()
-    comp = np.full(n, -1, dtype=np.int64)
-    label = 0
-    for v in reversed(order):
-        if comp[v] >= 0:
-            continue
-        stack = [v]
-        comp[v] = label
-        while stack:
-            x = stack.pop()
-            for w in radj[x]:
-                if comp[w] < 0:
-                    comp[w] = label
-                    stack.append(w)
-        label += 1
-    out = [[] for _ in range(label)]
-    for v in range(n):
-        out[comp[v]].append(v + 1)
-    return tuple(tuple(sorted(c)) for c in sorted(out, key=min))
 
 
 @dataclass(frozen=True)

@@ -188,17 +188,22 @@ def remove_redundant(ds: MrDataset) -> MrDataset:
     is covered then B is covered automatically. Of identical records only
     the earliest survives. A NaN entry compares >= with nothing, so it
     never lets its record dominate or be dominated through that antenna.
+    A row listing no antenna (only a hand-built batch holds one) lists a
+    subset of every record: the first such row deletes every other row.
     Survivor order is preserved; ``raw_count`` keeps the pre-deletion count.
 
-    Within one antenna set the records are sorted by their values,
-    lexicographically descending, ties kept in input order. A dominator
-    then always precedes the record it dominates, and of identical records
-    the earliest comes first, so a record is deleted exactly when some
-    predecessor in its set is >= it entrywise. Only those predecessor pairs
-    are compared, ``BLOCK_ELEMENTS`` pairs at a time and one column at a
-    time, so memory does not grow with the size of a set. Only a batch that
-    mixes record lengths (a loaded CSV, say) also matches each record
-    against the sets of its shorter subsets.
+    One sorted pass runs per record width t. It takes the records that list
+    t antennas and, for every wider record, its projection onto each t of
+    its antennas: a projection can be dominated, but never dominates.
+    Within one antenna set the items are sorted by their values,
+    lexicographically descending, ties kept with records first and in
+    input order. A dominator then always precedes what it dominates, and of
+    identical records the earliest comes first, so an item is dominated
+    exactly when some record before it in its set is >= it entrywise. Only
+    those pairs are compared, ``BLOCK_ELEMENTS`` pairs at a time and one
+    column at a time, so memory does not grow with the size of a set. A
+    batch of one width (every generated batch) has no projections, and its
+    pass runs on views of the sorted entries.
     """
     if ds.domain != "attenuation":
         raise ValueError("redundancy deletion operates on attenuation batches")
@@ -213,109 +218,96 @@ def remove_redundant(ds: MrDataset) -> MrDataset:
     order = np.argsort(sort_ids, axis=1, kind="stable")
     sids = np.take_along_axis(sort_ids, order, axis=1)
     svals = np.take_along_axis(ds.values, order, axis=1)
-    deleted = _dominated_in_set(sids, svals)
     sizes = mask.sum(axis=1)
-    if sizes.min() != sizes.max():
-        deleted |= _dominated_by_subset(sids, svals)
+    deleted = np.zeros(k, dtype=bool)
+    for t in np.unique(sizes):
+        owners, ids, vals, records = _width_items(sids, svals, sizes, t)
+        deleted[owners[_dominated_in_set(ids, vals, records)]] = True
     keep = ~deleted
     return MrDataset(ds.ids[keep].copy(), ds.values[keep].copy(), ds.domain,
                      ds.n_antennas, recorded_powers=ds.recorded_powers,
                      raw_count=ds.raw_count)
 
 
-def _dominated_in_set(sids: np.ndarray, svals: np.ndarray) -> np.ndarray:
-    """Rows with an entrywise >= record listing the same antennas; of
-    identical rows, all but the earliest.
+def _width_items(sids: np.ndarray, svals: np.ndarray, sizes: np.ndarray,
+                 t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The items of width t: ``(owners, ids, values, records)``.
 
-    ``sids``/``svals`` hold each row's entries in ascending id order, with
-    ``_PAD_SENTINEL`` padding.
+    The first ``records`` items are the rows that list t antennas, in input
+    order; after them comes each wider row's projection onto every t of its
+    antennas. ``owners`` holds each item's row. ``sids``/``svals`` hold each
+    row's entries in ascending id order, with ``_PAD_SENTINEL`` padding.
     """
-    k, m = sids.shape
-    # padding sits in the same columns of every row of a set: make it equal
-    vals = np.where(sids != _PAD_SENTINEL, svals, 0.0)
-    # a NaN entry is neither >= nor <= anything: its row takes no part
-    rows = np.flatnonzero(~np.isnan(vals).any(axis=1))
+    rows = np.flatnonzero(sizes == t)
+    if len(rows) == len(sids):
+        return rows, sids[:, :t], svals[:, :t], len(rows)
+    owners, ids, vals = [rows], [sids[rows, :t]], [svals[rows, :t]]
+    for w in np.unique(sizes[sizes > t]):
+        wider = np.flatnonzero(sizes == w)
+        for cols in combinations(range(w), t):
+            at = np.ix_(wider, cols)
+            owners.append(wider)
+            ids.append(sids[at])
+            vals.append(svals[at])
+    return (np.concatenate(owners), np.concatenate(ids), np.concatenate(vals),
+            len(rows))
+
+
+def _dominated_in_set(ids: np.ndarray, vals: np.ndarray,
+                      records: int) -> np.ndarray:
+    """Indices of the items with an entrywise >= record listing the same
+    antennas; of identical records, all but the earliest.
+
+    Items 0 .. ``records`` - 1 are records, the rest projections, which are
+    never taken as dominators.
+    """
+    t = ids.shape[1]
+    # a NaN entry is neither >= nor <= anything: its item takes no part
+    items = np.flatnonzero(~np.isnan(vals).any(axis=1))
     # primary key: the antenna set; then the values, descending; then the
-    # input order, which the stable sort keeps
-    keys = ([-vals[rows, c] for c in range(m - 1, -1, -1)]
-            + [sids[rows, c] for c in range(m - 1, -1, -1)])
-    rows = rows[np.lexsort(keys)]
-    sets = sids[rows]
-    pos = np.arange(len(rows))
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (sets[1:] != sets[:-1]).any(axis=1)
-    # the predecessors of position j in its set: start[j] .. j - 1
+    # item order, which the stable sort keeps
+    keys = ([-vals[:, c][items] for c in range(t - 1, -1, -1)]
+            + [ids[:, c][items] for c in range(t - 1, -1, -1)])
+    if keys:  # width 0 (rows listing no antenna): one set, in item order
+        items = items[np.lexsort(keys)]
+    del keys
+    pos = np.arange(len(items))
+    first = np.zeros(len(items), dtype=bool)
+    first[:1] = True
+    for c in range(t):
+        col = ids[:, c][items]
+        first[1:] |= col[1:] != col[:-1]
+    # position j's set starts at start[j]; its dominators are the records
+    # among positions start[j] .. j - 1. ``real`` lists the records'
+    # positions: those dominators are real[lo_rank[j]:lo_rank[j] + preds[j]]
     start = np.maximum.accumulate(np.where(first, pos, 0))
-    preds = pos - start
-    # every predecessor is >= in column 0, the leading sort key
-    cols = [vals[rows, c] for c in range(1, m)]
+    real = np.flatnonzero(items < records)
+    lo_rank = np.searchsorted(real, start)
+    preds = np.searchsorted(real, pos) - lo_rank
+    # every predecessor is >= in column 0, the leading sort key; the other
+    # columns are gathered by dominator rank and by position
+    cols = [(vals[:, c][items[real]], vals[:, c][items]) for c in range(1, t)]
     cand = np.flatnonzero(preds)
     ends = np.cumsum(preds[cand])
-    dominated = np.zeros(len(rows), dtype=bool)
+    dominated = np.zeros(len(items), dtype=bool)
     lo, done = 0, 0
     while lo < len(cand):
-        # records lo..hi-1 of cand hold at most BLOCK_ELEMENTS pairs, or
-        # one record's predecessors when they are more
+        # positions lo..hi-1 of cand hold at most BLOCK_ELEMENTS pairs, or
+        # one item's predecessors when they are more
         hi = max(lo + 1, int(np.searchsorted(ends, done + BLOCK_ELEMENTS,
                                              side="right")))
         js = cand[lo:hi]
         counts = preds[js]
         offset = np.cumsum(counts) - counts
-        # every (predecessor a, record b) pair of the records js
+        # every (dominator rank a, position b) pair of the positions js
         b = np.repeat(js, counts)
-        a = np.arange(len(b)) + np.repeat(start[js] - offset, counts)
-        for col in cols:
-            ge = np.flatnonzero(col[a] >= col[b])
+        a = np.arange(len(b)) + np.repeat(lo_rank[js] - offset, counts)
+        for col_a, col_b in cols:
+            ge = np.flatnonzero(col_a[a] >= col_b[b])
             a, b = a[ge], b[ge]
         dominated[b] = True
         lo, done = hi, int(ends[hi - 1])
-    out = np.zeros(k, dtype=bool)
-    out[rows[dominated]] = True
-    return out
-
-
-def _dominated_by_subset(sids: np.ndarray, svals: np.ndarray) -> np.ndarray:
-    """Rows with an entrywise >= record listing a strict subset of their
-    antennas (same layout as ``_dominated_in_set``)."""
-    uniq, inverse = np.unique(sids, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    by_group = np.argsort(inverse, kind="stable")
-    counts = np.bincount(inverse, minlength=len(uniq))
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    group_rows = [by_group[bounds[g]:bounds[g + 1]] for g in range(len(uniq))]
-    group_key = [tuple(int(x) for x in row[row != _PAD_SENTINEL]) for row in uniq]
-    key_index = {key: g for g, key in enumerate(group_key)}
-    sizes_present = sorted({len(key) for key in group_key})
-
-    deleted = np.zeros(len(sids), dtype=bool)
-    for g, key in enumerate(group_key):
-        rows_b = group_rows[g]
-        width = len(key)
-        vb = svals[rows_b][:, :width]
-        for t in sizes_present:
-            if t >= width:
-                break
-            for sub in combinations(key, t):
-                ga = key_index.get(sub)
-                if ga is None:
-                    continue
-                rows_a = group_rows[ga]
-                va = svals[rows_a][:, :t]
-                cols = np.searchsorted(np.asarray(key), np.asarray(sub))
-                deleted[rows_b] |= _has_dominator(va, vb[:, cols])
-    return deleted
-
-
-def _has_dominator(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    """True per vb row when some va row is >= entrywise."""
-    a, t = va.shape
-    b = len(vb)
-    out = np.zeros(b, dtype=bool)
-    block = max(1, int(4e6) // max(1, a * t))
-    for lo in range(0, b, block):
-        hi = min(b, lo + block)
-        out[lo:hi] = (va[None, :, :] >= vb[lo:hi, None, :]).all(axis=2).any(axis=1)
-    return out
+    return items[dominated]
 
 
 def sample_for_jacobian(ds: MrDataset, n_s: int,

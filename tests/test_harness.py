@@ -350,12 +350,32 @@ class TestCli:
                      "--periods", "1"]) == 0
         assert "algorithm=none periods=1" in capsys.readouterr().out
 
-    def test_zero_periods_flag_rejected(self, tmp_path):
+    def test_zero_periods_flag_rejected(self, tmp_path, capsys):
         from breathenet.cli import main
 
         spec_path = self.write_spec(tmp_path)
-        with pytest.raises(ConfigError, match="periods must be at least 1"):
+        with pytest.raises(SystemExit) as exc:
             main(["run", str(spec_path), "--quiet", "--periods", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == \
+            "breathenet: error: periods must be at least 1\n"
+
+    def test_compare_names_a_run_with_no_period(self, tmp_path, capsys):
+        from breathenet.cli import main
+
+        done, empty = tmp_path / "done", tmp_path / "empty"
+        for directory, rows in ((done, 1), (empty, 0)):
+            directory.mkdir()
+            MetricsSeries(*(np.arange(1, rows + 1) for _ in range(6))
+                          ).to_csv(directory / "metrics.csv")
+        # the empty run holds only the header
+        assert (empty / "metrics.csv").read_text().count("\n") == 1
+        for pair in ((done, empty), (empty, done)):
+            with pytest.raises(SystemExit) as exc:
+                main(["compare", *map(str, pair)])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err == \
+                f"breathenet: error: {empty}: metrics.csv holds no period\n"
 
     def test_every_cfg_field_is_a_flag(self, tmp_path):
         from dataclasses import fields

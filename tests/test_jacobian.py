@@ -312,10 +312,23 @@ class TestSupportGraph:
             g = nx.DiGraph()
             g.add_nodes_from(range(1, n + 1))
             g.add_edges_from((i + 1, j + 1) for i, j in zip(*np.nonzero(mask)))
-            expected = {tuple(sorted(c)) for c in
-                        nx.strongly_connected_components(g)}
-            assert set(sg.components) == expected
+            # ascending ids, components ordered by their smallest member
+            expected = tuple(sorted((tuple(sorted(c)) for c in
+                                     nx.strongly_connected_components(g)),
+                                    key=min))
+            assert sg.components == expected
             assert sg.strongly_connected == (len(expected) == 1)
+
+    def test_a_stored_zero_is_an_edge(self):
+        # A~_12 and A~_21 are stored zeros and the only link between 1 and
+        # 2; bdba_solve's empty-line gate counts them as entries too
+        m = sp.csr_matrix((np.array([1.0, 0.0, 0.0, 1.0, 1.0]),
+                           (np.array([0, 0, 1, 1, 2]), np.array([0, 1, 0, 1, 2]))),
+                          shape=(3, 3))
+        assert m.nnz == 5
+        sg = support_graph(approx_from_matrix(m))
+        assert sg.components == ((1, 2), (3,))
+        assert not sg.strongly_connected
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

@@ -248,6 +248,38 @@ class TestDomainSwitch:
             to_attenuation(att, np.array([30.0]))
 
 
+@st.composite
+def hand_built_batches(draw):
+    """(n, records): up to 40 records over n = 1..8 antennas, listing 1..6
+    of them (one width for the whole batch, or a width per record), with
+    values from a coarse grid that holds NaN and both signed zeros."""
+    n = draw(st.integers(1, 8))
+    width = st.integers(1, min(n, 6))
+    if draw(st.booleans()):
+        width = st.just(draw(width))
+    level = st.sampled_from([0.0, -0.0, 1.0, 2.0, float("nan")])
+
+    def record(w):
+        return st.tuples(st.permutations(range(1, n + 1)),
+                         st.lists(level, min_size=w, max_size=w)).map(
+            lambda pv: MrRecord(tuple(zip(pv[0][:w], pv[1]))))
+
+    return n, draw(st.lists(width.flatmap(record), max_size=40))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hand_built_batches())
+def test_redundancy_removal_keeps_the_brute_force_survivors(batch):
+    n, records = batch
+    ds = dataset_from_records(records, "attenuation", n)
+    keep = brute_force_survivors(records)
+    got = remove_redundant(ds)
+    assert np.array_equal(got.ids, ds.ids[keep])
+    # bitwise, so that NaN and the sign of zero count
+    assert np.array_equal(got.values.view(np.uint64),
+                          ds.values[keep].view(np.uint64))
+
+
 class TestRedundancyDeletion:
     def att_ds(self, records, n=4):
         return dataset_from_records([MrRecord(tuple(r)) for r in records],
@@ -379,6 +411,21 @@ class TestRedundancyDeletion:
             vals = rng.choice(levels, size=size, p=[0.3, 0.2, 0.25, 0.2, 0.05])
             records.append(list(zip(aids.tolist(), vals.tolist())))
         assert_matches_pairwise(self.att_ds(records, 5))
+
+    def test_a_row_listing_no_antenna_deletes_every_other_row(self):
+        # only a hand-built batch holds such a row: it lists a subset of
+        # every record, so the first one survives alone
+        nan = float("nan")
+        ids = np.array([[1, 2], [0, 0], [2, 0], [0, 0], [1, 0]], np.int32)
+        values = np.array([[9.0, nan], [nan, nan], [-0.0, nan], [nan, nan],
+                           [nan, nan]])
+        got = remove_redundant(MrDataset(ids, values, "attenuation", 2))
+        assert np.array_equal(got.ids, ids[[1]])
+        assert got.raw_count == 5
+        # a batch of such rows keeps its first
+        got = remove_redundant(MrDataset(ids[[1, 3]], values[[1, 3]],
+                                         "attenuation", 2))
+        assert len(got) == 1
 
     def test_memory_stays_bounded_on_one_large_set(self):
         # 6 000 records of one set hold 18 M predecessor pairs: about

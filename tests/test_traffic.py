@@ -302,7 +302,8 @@ def at_each_worker_count(name, points):
 
 
 class FailingDraw:
-    """A shadowing generator whose draw for block ``fail_at`` (from 1) raises."""
+    """A shadowing generator that counts its draws; the draw for block
+    ``fail_at`` (from 1) raises, and with ``fail_at=None`` none does."""
 
     def __init__(self, rng, fail_at):
         self.rng = rng
@@ -520,6 +521,36 @@ class TestStreamedRanking:
         seen.clear()
         batch.each_block(lambda lo, hi, block, spare: seen.append(lo))
         assert sorted(seen) == list(range(0, 6 * self.B, self.B))
+
+    @pytest.mark.parametrize("workers", [w for w in WORKER_COUNTS if w >= 2])
+    def test_a_failing_block_stops_the_draw(self, monkeypatch, workers):
+        # the consumer fails on block 0 of 40: the calling thread must stop
+        # drawing, leaving most blocks undrawn
+        blocks = 40
+        real_rng = np.random.default_rng
+        shadowing = []
+
+        def rng_for(seed):
+            rng = real_rng(seed)
+            if seed.spawn_key != (1, 1):
+                return rng
+            shadowing.append(FailingDraw(rng, fail_at=None))
+            return shadowing[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", rng_for)
+        monkeypatch.setattr(traffic, "_sampling_workers", lambda: workers)
+        topo = line_topo(self.N, spacing=150.0)
+        batch = sample_users(self.scenario(blocks * self.B),
+                             PathlossModel(seed=3), topo, 1)
+
+        def consume(lo, hi, block, spare):
+            if lo == 0:
+                raise RuntimeError("consumer failed")
+
+        got = in_time(lambda: batch.each_block(consume))
+        assert isinstance(got, RuntimeError)
+        [draw] = shadowing
+        assert draw.draws < blocks // 2, draw.draws
 
     def test_one_period_holds_no_user_by_antenna_matrix(self, monkeypatch):
         # 20k users x 1000 antennas: the matrix alone would be 160 MB
