@@ -67,11 +67,21 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     runs = []
     for directory in (args.dir_a, args.dir_b):
-        run = MetricsSeries.from_csv(Path(directory) / "metrics.csv")
+        try:
+            run = MetricsSeries.from_csv(Path(directory) / "metrics.csv")
+        except OSError as exc:
+            raise ConfigError(f"{directory}: cannot read metrics.csv "
+                              f"({exc.strerror})") from None
+        except ValueError as exc:
+            raise ConfigError(f"{directory}: metrics.csv: {exc}") from None
         if not len(run):
             raise ConfigError(f"{directory}: metrics.csv holds no period")
         runs.append(run)
-    print(json.dumps(compare_runs(*runs), indent=2))
+    a, b = runs
+    if len(a) != len(b):
+        raise ConfigError(f"runs cover different period counts: {args.dir_a} "
+                          f"holds {len(a)}, {args.dir_b} holds {len(b)}")
+    print(json.dumps(compare_runs(a, b), indent=2))
     return 0
 
 

@@ -108,10 +108,11 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         topo, pathloss, scenario = _BUNDLES[name](**block)
     else:
         try:
-            topo = topology_from_dict(d["topology"])
-            scenario = scenario_from_dict(d["scenario"])
+            raw_topo, raw_scenario = d["topology"], d["scenario"]
         except KeyError as exc:
             raise ConfigError(f"spec is missing the {exc.args[0]!r} block") from exc
+        topo = topology_from_dict(raw_topo)
+        scenario = scenario_from_dict(raw_scenario)
         pathloss = pathloss_from_dict(d.get("pathloss", {}))
     cfg = AlgorithmConfig().with_overrides(**d.get("cfg", {}))
     return ExperimentSpec(
@@ -215,7 +216,7 @@ class MetricsSeries:
     def from_csv(cls, path) -> "MetricsSeries":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if tuple(header) != _METRIC_COLUMNS:
                 raise ValueError(f"unexpected metrics header {header}")
             rows = [tuple(r) for r in reader]

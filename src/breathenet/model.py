@@ -18,6 +18,33 @@ class ConfigError(ValueError):
     """Raised when a topology / scenario / config description is invalid."""
 
 
+_REQUIRED = object()
+
+
+def config_field(block: dict, key: str, kind, where: str, default=_REQUIRED):
+    """``kind(block[key])``; a key that is absent or None gives ``default``
+    as it is, when one is given. A missing required key, or a value ``kind``
+    rejects, raises a ConfigError naming ``where`` and ``key``."""
+    value = block.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: missing {key!r}")
+        return default
+    try:
+        return kind(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {key}: {exc}") from None
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: {key} {value!r} is not a valid "
+                          f"{kind.__name__}") from None
+
+
+def point(xy) -> tuple[float, float]:
+    """An (x, y) pair of floats from a two-item sequence."""
+    x, y = xy
+    return float(x), float(y)
+
+
 def watts_to_dbm(p: float) -> float:
     """Convert transmit power in watts to dBm. Rejects non-positive input."""
     if p <= 0:
@@ -189,14 +216,14 @@ def topology_from_dict(d: dict) -> NetworkTopology:
     except KeyError as exc:
         raise ConfigError("topology dict needs an 'antennas' list") from exc
     antennas = []
-    for a in raw_antennas:
-        pos = tuple(float(c) for c in a["position"]) if "position" in a else None
+    for k, a in enumerate(raw_antennas, start=1):
+        where = f"antenna {a.get('id', f'#{k}')}"
         antennas.append(Antenna(
-            id=int(a["id"]),
-            p=_power_to_dbm(a["power"]),
-            p_max=_power_to_dbm(a["p_max"]),
-            r=int(a["prb"]),
-            position=pos,
+            id=config_field(a, "id", int, where),
+            p=config_field(a, "power", _power_to_dbm, where),
+            p_max=config_field(a, "p_max", _power_to_dbm, where),
+            r=config_field(a, "prb", int, where),
+            position=config_field(a, "position", point, where, None),
         ))
     antennas.sort(key=lambda a: a.id)
     n = len(antennas)

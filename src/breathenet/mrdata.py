@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import ConfigError
+from .model import ConfigError, config_field
 from .traffic import BLOCK_ELEMENTS, UserBatch
 
 _PAD_SENTINEL = np.iinfo(np.int32).max
@@ -235,22 +235,36 @@ def _width_items(sids: np.ndarray, svals: np.ndarray, sizes: np.ndarray,
 
     The first ``records`` items are the rows that list t antennas, in input
     order; after them comes each wider row's projection onto every t of its
-    antennas. ``owners`` holds each item's row. ``sids``/``svals`` hold each
-    row's entries in ascending id order, with ``_PAD_SENTINEL`` padding.
+    antennas that one of those rows lists: a projection onto another set
+    has nothing to be dominated by. ``owners`` holds each item's row.
+    ``sids``/``svals`` hold each row's entries in ascending id order, with
+    ``_PAD_SENTINEL`` padding.
     """
     rows = np.flatnonzero(sizes == t)
     if len(rows) == len(sids):
         return rows, sids[:, :t], svals[:, :t], len(rows)
     owners, ids, vals = [rows], [sids[rows, :t]], [svals[rows, :t]]
+    listed = _row_keys(ids[0])
     for w in np.unique(sizes[sizes > t]):
         wider = np.flatnonzero(sizes == w)
         for cols in combinations(range(w), t):
-            at = np.ix_(wider, cols)
-            owners.append(wider)
+            hit = wider
+            if t:  # every row lists the empty set
+                hit = wider[np.isin(_row_keys(sids[np.ix_(wider, cols)]),
+                                    listed)]
+            at = np.ix_(hit, cols)
+            owners.append(hit)
             ids.append(sids[at])
             vals.append(svals[at])
     return (np.concatenate(owners), np.concatenate(ids), np.concatenate(vals),
             len(rows))
+
+
+def _row_keys(a: np.ndarray) -> np.ndarray:
+    """One opaque scalar per row of the 2-D array ``a``, equal exactly
+    when the rows are."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
 
 
 def _dominated_in_set(ids: np.ndarray, vals: np.ndarray,
@@ -390,8 +404,9 @@ def load_csv(path, n_antennas: int, powers=None) -> tuple[MrDataset, LoadReport]
     duplicate antenna ids, out-of-range ids, non-finite values, or its first
     entry is not the strongest (signal domain; for attenuation batches the
     recording ``powers`` are required to reconstruct received strengths).
-    A missing column, an unknown domain or a field that is not a number
-    raises ``ConfigError`` naming the line and the field.
+    A missing column, an unknown domain, a domain that differs from the
+    first record's or a field that is not a number raises ``ConfigError``
+    naming the line and the field.
     """
     by_record: dict[int, list[tuple[int, int, float]]] = {}
     domain = None
@@ -408,12 +423,13 @@ def load_csv(path, n_antennas: int, powers=None) -> tuple[MrDataset, LoadReport]
             if domain is None:
                 domain = dom
             elif domain != dom:
-                raise ValueError("mixed record domains in one batch")
-            rid = _csv_number(row, "record_id", int, where)
+                raise ConfigError(f"{where}: domain {dom!r} in a batch of "
+                                  f"{domain!r} records")
+            rid = config_field(row, "record_id", int, where)
             by_record.setdefault(rid, []).append(
-                (_csv_number(row, "rank", int, where),
-                 _csv_number(row, "antenna_id", int, where),
-                 _csv_number(row, "value", float, where)))
+                (config_field(row, "rank", int, where),
+                 config_field(row, "antenna_id", int, where),
+                 config_field(row, "value", float, where)))
     if domain is None:
         domain = "signal"
     if domain == "attenuation" and powers is None:
@@ -442,15 +458,6 @@ def load_csv(path, n_antennas: int, powers=None) -> tuple[MrDataset, LoadReport]
     ds = dataset_from_records(kept_records, domain, n_antennas,
                               recorded_powers=pvec)
     return ds, LoadReport(kept=len(kept_records), rejected=rejected)
-
-
-def _csv_number(row: dict, column: str, kind, where: str):
-    """``kind(row[column])``, or a ConfigError naming the line and column."""
-    try:
-        return kind(row[column])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: {column} {row[column]!r} is not "
-                          f"a valid {kind.__name__}") from None
 
 
 def subsample(ds: MrDataset, cap: int, seed: int = 0) -> MrDataset:

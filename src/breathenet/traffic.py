@@ -4,14 +4,13 @@ pathloss with frozen shadowing, and strongest-pilot user assignment."""
 from __future__ import annotations
 
 import os
-import queue
-import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ConfigError, NetworkTopology
+from .model import ConfigError, NetworkTopology, config_field, point
 
 # Elements per scratch buffer of the row-blocked U x n kernels (1 MiB of
 # float64): large enough that per-block overhead vanishes, small enough that
@@ -226,18 +225,22 @@ class AttenuationRecipe:
         Every block applies the whole-matrix formula operation by operation,
         in the same order, through ``out=`` ufuncs, so each block is bitwise
         the matching rows of the one-shot expression whatever the thread
-        count. The shadowing stream is sequential, so the calling thread
-        draws sigma*z for every block in order (block by block it yields the
-        same numbers as one (U, n) draw) into a pool of ``workers + 1``
-        buffers and submits each drawn block to the other workers (to every
-        worker without shadowing). A block task computes the geometry into
-        scratch, adds the draw in, returns the draw's buffer to the pool and
-        runs the consumer, so memory stays a few blocks whatever the user
-        count. With one worker, or one block, each block is drawn and then
-        finished in turn on the calling thread. numpy's ufuncs and the
+        count. Memory is one ring of ``depth`` slots, allocated here, two
+        more than the threads that compute blocks (one without threads):
+        block b keeps its draw, its geometry and its spare in slot
+        b % depth, so memory stays a few blocks whatever the user count.
+        The shadowing stream is sequential, so the calling thread draws
+        sigma*z for every block in order (block by block it yields the same
+        numbers as one (U, n) draw) and submits the drawn block to the other
+        workers (to every worker without shadowing), which compute its
+        geometry, add the draw in and run the consumer. The calling thread
+        keeps at most ``depth`` blocks pending: before it draws block b it
+        waits for block b - depth, which frees slot b % depth. No task waits
+        on anything. With one worker, or one block, each block is drawn and
+        then finished in turn on the calling thread. numpy's ufuncs and the
         generator release the GIL, so the threads run at once. A failing
-        block ends the draw, dropping the blocks not yet drawn, and its error
-        is raised here once the submitted blocks have ended.
+        block's error is raised by that wait, so the draw ends within
+        ``depth`` blocks of it, once the blocks already submitted have ended.
         """
         positions, sites, model = self.positions, self.sites, self.model
         n = len(sites)
@@ -248,74 +251,57 @@ class AttenuationRecipe:
         shadow_rng = (np.random.default_rng(
             np.random.SeedSequence(model.seed, spawn_key=(self.period, 1)))
             if model.shadowing_sigma > 0 else None)
-        shape = (min(rows, len(positions)), n)
         # on threads the calling thread draws and the blocks run on the rest
         block_threads = (workers - 1 if shadow_rng is not None and workers > 1
                          else max(1, workers))
-        # buffers come from this thread and are handed round: buffers
-        # allocated inside the workers grow per-thread malloc arenas
-        scratch = queue.SimpleQueue()
-        for _ in range(block_threads):
-            scratch.put(np.empty((2, *shape)))
-        shadows = queue.SimpleQueue()
-        for _ in range(workers + 1 if shadow_rng is not None else 0):
-            shadows.put(np.empty(shape))
+        # two slots past the block threads let the draw run two blocks
+        # ahead: with one, a slow block stalls it (grid-500 lost about 9% of
+        # its periods per second on a 2-core x86 box); one slot does when
+        # the calling thread finishes every block itself
+        depth = block_threads + 2 if workers > 1 else 1
+        # slots come from this thread: buffers allocated inside the workers
+        # grow per-thread malloc arenas
+        ring = np.empty((depth, 3, min(rows, len(positions)), n))
         slope = 10.0 * model.exponent
-        failed = threading.Event()
 
         def draw(b):
-            """Block b's sigma*z in a pool buffer, or None without shadowing."""
+            """Block b's sigma*z in its slot, or None without shadowing."""
             if shadow_rng is None:
                 return None
             lo, hi = blocks[b]
-            buf = shadows.get()
-            try:
-                shadow_rng.standard_normal(out=buf[:hi - lo])
-                np.multiply(buf[:hi - lo], model.shadowing_sigma, out=buf[:hi - lo])
-            except BaseException:
-                shadows.put(buf)
-                raise
-            return buf
+            shadow = ring[b % depth, 2, :hi - lo]
+            shadow_rng.standard_normal(out=shadow)
+            np.multiply(shadow, model.shadowing_sigma, out=shadow)
+            return shadow
 
         def finish(b, shadow):
             """Block b's geometry plus its draw ``shadow`` into the consumer."""
             lo, hi = blocks[b]
-            pair = scratch.get()
-            try:
-                geom, spare = pair[:, :hi - lo]
-                try:
-                    np.subtract(positions[lo:hi, 0, None], sites[None, :, 0], out=geom)
-                    np.subtract(positions[lo:hi, 1, None], sites[None, :, 1], out=spare)
-                    np.hypot(geom, spare, out=geom)
-                    np.clip(geom, 1.0, None, out=geom)
-                    np.log10(geom, out=geom)
-                    np.multiply(geom, slope, out=geom)
-                    np.add(geom, model.reference_loss, out=geom)
-                    if shadow is not None:
-                        np.add(geom, shadow[:hi - lo], out=geom)
-                finally:
-                    if shadow is not None:
-                        shadows.put(shadow)
-                consume(lo, hi, geom, spare)
-            except BaseException:
-                failed.set()  # ends the draw loop below
-                raise
-            finally:
-                scratch.put(pair)
+            geom, spare = ring[b % depth, :2, :hi - lo]
+            np.subtract(positions[lo:hi, 0, None], sites[None, :, 0], out=geom)
+            np.subtract(positions[lo:hi, 1, None], sites[None, :, 1], out=spare)
+            np.hypot(geom, spare, out=geom)
+            np.clip(geom, 1.0, None, out=geom)
+            np.log10(geom, out=geom)
+            np.multiply(geom, slope, out=geom)
+            np.add(geom, model.reference_loss, out=geom)
+            if shadow is not None:
+                np.add(geom, shadow, out=geom)
+            consume(lo, hi, geom, spare)
 
         if workers <= 1:
             for b in range(len(blocks)):
                 finish(b, draw(b))
             return
 
-        futures = []
         with ThreadPoolExecutor(block_threads) as pool:
+            pending = deque()
             for b in range(len(blocks)):
-                if failed.is_set():
-                    break
-                futures.append(pool.submit(finish, b, draw(b)))
-        for future in futures:
-            future.result()
+                if len(pending) == depth:
+                    pending.popleft().result()  # frees slot b % depth
+                pending.append(pool.submit(finish, b, draw(b)))
+            while pending:
+                pending.popleft().result()
 
 
 def sample_users(scenario: TrafficScenario, model: PathlossModel,
@@ -428,19 +414,25 @@ def assign_users(users: UserBatch, powers: np.ndarray) -> np.ndarray:
 
 def scenario_from_dict(d: dict) -> TrafficScenario:
     periods = []
-    for p in d["periods"]:
-        hotspots = tuple(Hotspot(center=tuple(float(c) for c in h["center"]),
-                                 weight=float(h["weight"]),
-                                 spread=float(h["spread"]),
-                                 truncate=h.get("truncate"))
-                         for h in p["hotspots"])
-        periods.append(PeriodSpec(total_users=int(p["total_users"]), hotspots=hotspots))
+    for k, p in enumerate(config_field(d, "periods", list, "scenario"), start=1):
+        hotspots = []
+        for j, h in enumerate(config_field(p, "hotspots", list, f"period {k}"),
+                              start=1):
+            where = f"period {k}, hotspot {j}"
+            hotspots.append(Hotspot(
+                center=config_field(h, "center", point, where),
+                weight=config_field(h, "weight", float, where),
+                spread=config_field(h, "spread", float, where),
+                truncate=config_field(h, "truncate", float, where, None)))
+        periods.append(PeriodSpec(
+            total_users=config_field(p, "total_users", int, f"period {k}"),
+            hotspots=tuple(hotspots)))
     demand = d.get("demand", [1, 1])
     return TrafficScenario(
         periods=tuple(periods),
-        seed=int(d.get("seed", 0)),
+        seed=config_field(d, "seed", int, "scenario", 0),
         mode=d.get("mode", "free"),
-        freeze_at=d.get("freeze_at"),
+        freeze_at=config_field(d, "freeze_at", int, "scenario", None),
         demand=(int(demand[0]), int(demand[1])),
     )
 
@@ -468,10 +460,10 @@ def scenario_to_dict(s: TrafficScenario) -> dict:
 
 def pathloss_from_dict(d: dict) -> PathlossModel:
     return PathlossModel(
-        exponent=float(d.get("exponent", 3.5)),
-        reference_loss=float(d.get("reference_loss", 32.0)),
-        shadowing_sigma=float(d.get("shadowing_sigma", 2.0)),
-        seed=int(d.get("seed", 0)),
+        exponent=config_field(d, "exponent", float, "pathloss", 3.5),
+        reference_loss=config_field(d, "reference_loss", float, "pathloss", 32.0),
+        shadowing_sigma=config_field(d, "shadowing_sigma", float, "pathloss", 2.0),
+        seed=config_field(d, "seed", int, "pathloss", 0),
     )
 
 

@@ -106,6 +106,23 @@ class TestSpecs:
         with pytest.raises(ConfigError, match="topology"):
             spec_from_dict({"scenario": {}})
 
+    @pytest.mark.parametrize("block, edit, message", [
+        ("topology", lambda t: t["antennas"][1].pop("prb"),
+         "antenna 2: missing 'prb'"),
+        ("topology", lambda t: t["antennas"][1].update(prb="many"),
+         "antenna 2: prb 'many' is not a valid int"),
+        ("scenario", lambda s: s["periods"][1]["hotspots"][0].pop("weight"),
+         "period 2, hotspot 1: missing 'weight'"),
+        ("pathloss", lambda p: p.update(exponent="x"),
+         "pathloss: exponent 'x' is not a valid float"),
+    ], ids=["no-prb", "bad-prb", "no-weight", "bad-exponent"])
+    def test_bad_block_field_named(self, block, edit, message):
+        d = spec_to_dict(quick_spec())
+        edit(d[block])
+        with pytest.raises(ConfigError) as exc:
+            spec_from_dict(d)
+        assert str(exc.value) == message
+
     def test_bdba_capped_at_the_dense_limit(self):
         def spec(n, algorithm):
             return spec_from_dict({
@@ -376,6 +393,32 @@ class TestCli:
             assert exc.value.code == 2
             assert capsys.readouterr().err == \
                 f"breathenet: error: {empty}: metrics.csv holds no period\n"
+
+    @pytest.mark.parametrize("case", ["no-metrics", "other-header", "empty",
+                                      "period-counts"])
+    def test_compare_names_an_unreadable_pair(self, tmp_path, capsys, case):
+        from breathenet.cli import main
+
+        a, b = tmp_path / "a", tmp_path / "b"
+        for directory, periods in ((a, 1), (b, 2)):
+            directory.mkdir()
+            series(range(1, periods + 1), std=0.1).to_csv(directory / "metrics.csv")
+        if case == "no-metrics":
+            (b / "metrics.csv").unlink()
+            want = f"{b}: cannot read metrics.csv (No such file or directory)"
+        elif case == "other-header":
+            (b / "metrics.csv").write_text("period,std\n1,0.1\n")
+            want = f"{b}: metrics.csv: unexpected metrics header ['period', 'std']"
+        elif case == "empty":
+            (b / "metrics.csv").write_text("")
+            want = f"{b}: metrics.csv: unexpected metrics header []"
+        else:
+            want = (f"runs cover different period counts: {a} holds 1, "
+                    f"{b} holds 2")
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", str(a), str(b)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"breathenet: error: {want}\n"
 
     def test_every_cfg_field_is_a_flag(self, tmp_path):
         from dataclasses import fields

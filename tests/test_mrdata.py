@@ -618,6 +618,15 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigError, match=r"line 3: unknown domain 'Signal'"):
             load_csv(path, n_antennas=1)
 
+    def test_mixed_domains_name_the_line(self, tmp_path):
+        path = tmp_path / "mr.csv"
+        path.write_text("record_id,rank,antenna_id,value,domain\n"
+                        "1,1,1,-70.0,signal\n"
+                        "2,1,1,80.0,attenuation\n")
+        with pytest.raises(ConfigError, match=r"line 3: domain 'attenuation' "
+                                              r"in a batch of 'signal' records"):
+            load_csv(path, n_antennas=1, powers=np.array([30.0]))
+
     def test_missing_domain_column_named(self, tmp_path):
         path = tmp_path / "mr.csv"
         path.write_text("record_id,rank,antenna_id,value\n1,1,1,-70.0\n")
