@@ -77,11 +77,11 @@ def _cmd_compare(args) -> int:
         if not len(run):
             raise ConfigError(f"{directory}: metrics.csv holds no period")
         runs.append(run)
-    a, b = runs
-    if len(a) != len(b):
-        raise ConfigError(f"runs cover different period counts: {args.dir_a} "
-                          f"holds {len(a)}, {args.dir_b} holds {len(b)}")
-    print(json.dumps(compare_runs(a, b), indent=2))
+    try:
+        report = compare_runs(*runs)
+    except ValueError as exc:
+        raise ConfigError(f"{args.dir_a} vs {args.dir_b}: {exc}") from None
+    print(json.dumps(report, indent=2))
     return 0
 
 

@@ -235,36 +235,22 @@ def _width_items(sids: np.ndarray, svals: np.ndarray, sizes: np.ndarray,
 
     The first ``records`` items are the rows that list t antennas, in input
     order; after them comes each wider row's projection onto every t of its
-    antennas that one of those rows lists: a projection onto another set
-    has nothing to be dominated by. ``owners`` holds each item's row.
-    ``sids``/``svals`` hold each row's entries in ascending id order, with
-    ``_PAD_SENTINEL`` padding.
+    antennas. ``owners`` holds each item's row. ``sids``/``svals`` hold each
+    row's entries in ascending id order, with ``_PAD_SENTINEL`` padding.
     """
     rows = np.flatnonzero(sizes == t)
     if len(rows) == len(sids):
         return rows, sids[:, :t], svals[:, :t], len(rows)
     owners, ids, vals = [rows], [sids[rows, :t]], [svals[rows, :t]]
-    listed = _row_keys(ids[0])
     for w in np.unique(sizes[sizes > t]):
         wider = np.flatnonzero(sizes == w)
         for cols in combinations(range(w), t):
-            hit = wider
-            if t:  # every row lists the empty set
-                hit = wider[np.isin(_row_keys(sids[np.ix_(wider, cols)]),
-                                    listed)]
-            at = np.ix_(hit, cols)
-            owners.append(hit)
+            at = np.ix_(wider, cols)
+            owners.append(wider)
             ids.append(sids[at])
             vals.append(svals[at])
     return (np.concatenate(owners), np.concatenate(ids), np.concatenate(vals),
             len(rows))
-
-
-def _row_keys(a: np.ndarray) -> np.ndarray:
-    """One opaque scalar per row of the 2-D array ``a``, equal exactly
-    when the rows are."""
-    a = np.ascontiguousarray(a)
-    return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
 
 
 def _dominated_in_set(ids: np.ndarray, vals: np.ndarray,

@@ -4,6 +4,7 @@ pathloss with frozen shadowing, and strongest-pilot user assignment."""
 from __future__ import annotations
 
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -225,22 +226,19 @@ class AttenuationRecipe:
         Every block applies the whole-matrix formula operation by operation,
         in the same order, through ``out=`` ufuncs, so each block is bitwise
         the matching rows of the one-shot expression whatever the thread
-        count. Memory is one ring of ``depth`` slots, allocated here, two
-        more than the threads that compute blocks (one without threads):
-        block b keeps its draw, its geometry and its spare in slot
-        b % depth, so memory stays a few blocks whatever the user count.
-        The shadowing stream is sequential, so the calling thread draws
-        sigma*z for every block in order (block by block it yields the same
-        numbers as one (U, n) draw) and submits the drawn block to the other
-        workers (to every worker without shadowing), which compute its
-        geometry, add the draw in and run the consumer. The calling thread
-        keeps at most ``depth`` blocks pending: before it draws block b it
-        waits for block b - depth, which frees slot b % depth. No task waits
-        on anything. With one worker, or one block, each block is drawn and
-        then finished in turn on the calling thread. numpy's ufuncs and the
-        generator release the GIL, so the threads run at once. A failing
-        block's error is raised by that wait, so the draw ends within
-        ``depth`` blocks of it, once the blocks already submitted have ended.
+        count. The shadowing stream is sequential, so the calling thread
+        draws sigma*z for every block in order (block by block it yields the
+        same numbers as one (U, n) draw) into a ring of ``depth`` slots and
+        submits the drawn block to the other workers (to every worker
+        without shadowing). Each of them keeps its own geometry and spare
+        planes, so memory stays a few blocks whatever the user count. The
+        calling thread keeps at most ``depth`` blocks pending: before it
+        draws block b it waits for block b - depth, which frees slot
+        b % depth and raises a failing block's error, so the draw ends
+        within ``depth`` blocks of it. No task waits on anything. With one
+        worker, or one block, the calling thread draws and finishes each
+        block in turn. numpy's ufuncs and the generator release the GIL, so
+        the threads run at once.
         """
         positions, sites, model = self.positions, self.sites, self.model
         n = len(sites)
@@ -254,14 +252,15 @@ class AttenuationRecipe:
         # on threads the calling thread draws and the blocks run on the rest
         block_threads = (workers - 1 if shadow_rng is not None and workers > 1
                          else max(1, workers))
-        # two slots past the block threads let the draw run two blocks
-        # ahead: with one, a slow block stalls it (grid-500 lost about 9% of
-        # its periods per second on a 2-core x86 box); one slot does when
-        # the calling thread finishes every block itself
+        # two slots past the block threads let the draw run two blocks ahead:
+        # with one, a slow block stalls it (grid-500 lost about 9% of its
+        # periods per second on a 2-core x86 box)
         depth = block_threads + 2 if workers > 1 else 1
-        # slots come from this thread: buffers allocated inside the workers
-        # grow per-thread malloc arenas
-        ring = np.empty((depth, 3, min(rows, len(positions)), n))
+        shape = (min(rows, len(positions)), n)
+        # buffers allocated inside the workers grow per-thread malloc arenas
+        planes = np.empty((block_threads, 2, *shape))
+        shadows = np.empty((depth, *shape)) if shadow_rng is not None else None
+        mine = threading.local()  # the planes of the thread running finish
         slope = 10.0 * model.exponent
 
         def draw(b):
@@ -269,7 +268,7 @@ class AttenuationRecipe:
             if shadow_rng is None:
                 return None
             lo, hi = blocks[b]
-            shadow = ring[b % depth, 2, :hi - lo]
+            shadow = shadows[b % depth, :hi - lo]
             shadow_rng.standard_normal(out=shadow)
             np.multiply(shadow, model.shadowing_sigma, out=shadow)
             return shadow
@@ -277,7 +276,7 @@ class AttenuationRecipe:
         def finish(b, shadow):
             """Block b's geometry plus its draw ``shadow`` into the consumer."""
             lo, hi = blocks[b]
-            geom, spare = ring[b % depth, :2, :hi - lo]
+            geom, spare = mine.planes[:, :hi - lo]
             np.subtract(positions[lo:hi, 0, None], sites[None, :, 0], out=geom)
             np.subtract(positions[lo:hi, 1, None], sites[None, :, 1], out=spare)
             np.hypot(geom, spare, out=geom)
@@ -290,15 +289,21 @@ class AttenuationRecipe:
             consume(lo, hi, geom, spare)
 
         if workers <= 1:
+            mine.planes = planes[0]
             for b in range(len(blocks)):
                 finish(b, draw(b))
             return
 
-        with ThreadPoolExecutor(block_threads) as pool:
+        unowned = iter(planes)
+
+        def take_planes():
+            mine.planes = next(unowned)
+
+        with ThreadPoolExecutor(block_threads, initializer=take_planes) as pool:
             pending = deque()
             for b in range(len(blocks)):
                 if len(pending) == depth:
-                    pending.popleft().result()  # frees slot b % depth
+                    pending.popleft().result()  # frees draw slot b % depth
                 pending.append(pool.submit(finish, b, draw(b)))
             while pending:
                 pending.popleft().result()

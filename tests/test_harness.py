@@ -413,8 +413,7 @@ class TestCli:
             (b / "metrics.csv").write_text("")
             want = f"{b}: metrics.csv: unexpected metrics header []"
         else:
-            want = (f"runs cover different period counts: {a} holds 1, "
-                    f"{b} holds 2")
+            want = f"{a} vs {b}: runs cover different period counts (1 vs 2)"
         with pytest.raises(SystemExit) as exc:
             main(["compare", str(a), str(b)])
         assert exc.value.code == 2

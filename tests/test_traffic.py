@@ -3,6 +3,7 @@
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -551,6 +552,41 @@ class TestStreamedRanking:
         assert isinstance(got, RuntimeError)
         [draw] = shadowing
         assert draw.draws < blocks // 2, draw.draws
+
+    @pytest.mark.parametrize("workers", [w for w in WORKER_COUNTS if w >= 2])
+    def test_a_draw_slot_is_reused_only_after_its_block_ended(
+            self, monkeypatch, workers):
+        # slow consumers keep the draw at its window: each draw must land in
+        # a buffer whose last block has already reached its consumer
+        blocks = 24
+        real_rng = np.random.default_rng
+        owner, consumed, clobbered = {}, set(), []
+
+        class RecordingDraw(FailingDraw):
+            def standard_normal(self, out):
+                slot = out.__array_interface__["data"][0]
+                if slot in owner and owner[slot] not in consumed:
+                    clobbered.append((self.draws, owner[slot]))
+                owner[slot] = self.draws
+                return super().standard_normal(out)
+
+        def rng_for(seed):
+            rng = real_rng(seed)
+            return RecordingDraw(rng, None) if seed.spawn_key == (1, 1) else rng
+
+        monkeypatch.setattr(np.random, "default_rng", rng_for)
+        monkeypatch.setattr(traffic, "_sampling_workers", lambda: workers)
+        topo = line_topo(self.N, spacing=150.0)
+        batch = sample_users(self.scenario(blocks * self.B),
+                             PathlossModel(seed=3), topo, 1)
+
+        def consume(lo, hi, block, spare):
+            consumed.add(lo // self.B)
+            time.sleep(0.002)
+
+        in_time(lambda: batch.each_block(consume))
+        assert len(consumed) == blocks
+        assert not clobbered
 
     def test_one_period_holds_no_user_by_antenna_matrix(self, monkeypatch):
         # 20k users x 1000 antennas: the matrix alone would be 160 MB
