@@ -6,7 +6,6 @@ equalizes across antennas without dropping coverage below a floor.
 """
 
 from .balancer import (
-    DegenerateDiagonal,
     SingularJacobian,
     BalanceStep,
     apply_and_clamp,

@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .busy import BusyState, busy_degrees, disagreement, targets
+from .busy import BusyState
 from .coverage import InfeasibleCoverage, min_power_search
 from .jacobian import JacobianApprox, estimate_jacobian, support_graph
 from .model import AlgorithmConfig, NetworkTopology
 from .mrdata import MrDataset
-from .traffic import UserBatch
 
 # the largest network bdba's dense SVD serves; ExperimentSpec rejects bdba
 # on more antennas
@@ -45,14 +44,6 @@ class SingularJacobian(RuntimeError):
     def __str__(self) -> str:
         return (f"jacobian support splits into {len(self.components)} "
                 f"components: {self.components}")
-
-
-class DegenerateDiagonal(RuntimeError):
-    """The fast balancer found non-positive diagonal entries."""
-
-    def __init__(self, antennas):
-        self.antennas = tuple(int(a) for a in antennas)
-        super().__init__(f"non-positive jacobian diagonal at antennas {self.antennas}")
 
 
 def _zero_sum_basis(n: int) -> np.ndarray:
@@ -116,7 +107,8 @@ def bfdba_solve(approx: JacobianApprox, d: np.ndarray, powers: np.ndarray,
 
     The tau term trades exact balance for a steady pull toward lower pilot
     powers; the resulting fixed point has f_i = (1 - tau * p_i) * f_bar.
-    Raises DegenerateDiagonal when any diagonal entry is non-positive.
+    When any diagonal entry is non-positive the solve holds: u is zero and
+    the diag dict is {"method": "hold", "degenerate": [1-based ids]}.
     """
     n = approx.n
     d = np.asarray(d, dtype=float)
@@ -126,7 +118,7 @@ def bfdba_solve(approx: JacobianApprox, d: np.ndarray, powers: np.ndarray,
     diag = approx.matrix.diagonal()
     bad = np.flatnonzero(diag <= 0)
     if len(bad):
-        raise DegenerateDiagonal(bad + 1)
+        return np.zeros(n), {"method": "hold", "degenerate": (bad + 1).tolist()}
     d2 = d - tau * powers
     u = d2 / diag
     return u, {"d2_inf": float(np.abs(d2).max()), "method": "diagonal"}
@@ -139,12 +131,10 @@ class BalanceStep:
     period: int
     algorithm: str
     u: np.ndarray
-    p_prev: np.ndarray
     p_next: np.ndarray
     clamp_flags: tuple[str, ...]
     residual: float | None = None
     duration_s: float = 0.0
-    busy: BusyState | None = None
     solver_diag: dict = field(default_factory=dict)
     p_min: np.ndarray | None = None
     fallback: bool = False
@@ -187,60 +177,54 @@ def apply_and_clamp(powers: np.ndarray, u: np.ndarray, gamma: float,
     flags = tuple("hit_max" if s > hi else "hit_min" if s < lo else "none"
                   for s, lo, hi in zip(star, p_min, p_max))
     return BalanceStep(period=period, algorithm=algorithm, u=u.copy(),
-                       p_prev=powers.copy(), p_next=nxt,
+                       p_next=nxt,
                        clamp_flags=flags, p_min=p_min.copy())
 
 
-def step(topo: NetworkTopology, powers: np.ndarray, users: UserBatch,
+def step(topo: NetworkTopology, powers: np.ndarray, state: BusyState,
          mr_signal: MrDataset, coverage_eval, cfg: AlgorithmConfig,
-         algorithm: str, period: int, seed: int = 0) -> BalanceStep:
-    """Run one full balancing period.
+         algorithm: str, seed: int = 0) -> BalanceStep:
+    """Run one balancing period from its busy state.
 
-    Computes busy-degrees, targets and disagreement from the period's users,
-    served by each record's main service antenna (``mr_signal`` must be the
-    period's unfiltered batch recorded at ``powers``; ValueError otherwise),
-    estimates the Jacobian from the signal-domain records, solves for the
+    ``state`` holds the period's busy-degrees, targets and disagreement,
+    counted on ``mr_signal``'s serving antennas; ``mr_signal`` must be the
+    period's unfiltered batch recorded at ``powers`` (ValueError otherwise).
+    Estimates the Jacobian from the signal-domain records, solves for the
     adjustment with the requested algorithm (falling back from bdba to bfdba
-    on a singular estimate, and holding powers when even the diagonal is
+    on a singular estimate; bfdba holds powers, u = 0, when the diagonal is
     degenerate), raises the coverage floor via the minimum-power search, and
     clamps. The recorded duration covers estimation + solve + coverage.
     """
     if algorithm not in ("bdba", "bfdba"):
         raise ValueError(f"unknown balancing algorithm {algorithm!r}")
+    period = state.period
     powers = np.asarray(powers, dtype=float)
     if (mr_signal.recorded_powers is None
             or not np.array_equal(mr_signal.recorded_powers, powers)):
         raise ValueError(f"period {period}: the MR batch was not recorded at "
                          "the powers being balanced, so its serving antennas "
                          "are not the users' assignment")
-    f = busy_degrees(mr_signal.serving(), users, topo)
-    f_bar = targets(f, topo, cfg.target_mode)
-    d = disagreement(f, f_bar)
-    state = BusyState(period=period, f=f, f_bar=f_bar, d=d)
 
     t0 = time.perf_counter()
     fallback = False
-    held = False
-    approx = estimate_jacobian(mr_signal, powers, f, f_bar, topo, cfg,
-                               seed=seed, diagonal_only=(algorithm == "bfdba"))
+    approx = estimate_jacobian(mr_signal, powers, state.f, state.f_bar, topo,
+                               cfg, seed=seed,
+                               diagonal_only=(algorithm == "bfdba"))
     used = algorithm
-    try:
-        if algorithm == "bdba":
-            try:
-                u, diag = bdba_solve(approx, d, cutoff=cfg.svd_cutoff)
-            except SingularJacobian:
-                warnings.warn(f"period {period}: singular jacobian, "
-                              "falling back to the diagonal balancer")
-                fallback = True
-                used = "bfdba"
-                u, diag = bfdba_solve(approx, d, powers, cfg.tau)
-        else:
-            u, diag = bfdba_solve(approx, d, powers, cfg.tau)
-    except DegenerateDiagonal as exc:
-        warnings.warn(f"period {period}: {exc}; holding powers")
-        held = True
-        u = np.zeros(topo.n)
-        diag = {"method": "hold", "degenerate": list(exc.antennas)}
+    if algorithm == "bdba":
+        try:
+            u, diag = bdba_solve(approx, state.d, cutoff=cfg.svd_cutoff)
+        except SingularJacobian:
+            warnings.warn(f"period {period}: singular jacobian, "
+                          "falling back to the diagonal balancer")
+            fallback = True
+            used = "bfdba"
+    if used == "bfdba":
+        u, diag = bfdba_solve(approx, state.d, powers, cfg.tau)
+    held = diag["method"] == "hold"
+    if held:
+        warnings.warn(f"period {period}: non-positive jacobian diagonal at "
+                      f"antennas {tuple(diag['degenerate'])}; holding powers")
 
     p_max = topo.p_max_vector()
     start = np.minimum(powers + cfg.gamma * u, p_max)
@@ -253,7 +237,6 @@ def step(topo: NetworkTopology, powers: np.ndarray, users: UserBatch,
 
     rec = apply_and_clamp(powers, u, cfg.gamma, p_min, p_max,
                           algorithm=used, period=period)
-    rec.busy = state
     rec.solver_diag = diag
     rec.residual = diag.get("residual")
     rec.duration_s = duration

@@ -45,14 +45,6 @@ def _require_attenuation(ds: MrDataset) -> None:
         raise ValueError("coverage needs an attenuation-domain batch")
 
 
-def _check_staleness(ds: MrDataset, powers: np.ndarray) -> None:
-    if ds.recorded_powers is not None:
-        drift = float(np.abs(powers - ds.recorded_powers).max())
-        if drift > 6.0:
-            warnings.warn(f"coverage batch recorded {drift:.1f} dB away from "
-                          "the queried powers; rates may be stale")
-
-
 def covered(ds: MrDataset, powers: np.ndarray, r_c: float) -> np.ndarray:
     """Per record: some listed antenna i has attenuation <= p_i - r_c."""
     mask = ds.entry_mask()
@@ -73,7 +65,6 @@ def exact_coverage(ds: MrDataset, powers: np.ndarray, r_c: float) -> CoverageRep
     if k_prime == 0:
         warnings.warn("coverage requested for an empty batch; reporting 1.0")
         return CoverageReport(F=1.0, uncovered_count=0, k_prime=0)
-    _check_staleness(ds, powers)
     uncovered = int(k_prime - covered(ds, powers, r_c).sum())
     return CoverageReport(F=1.0 - uncovered / k_prime,
                           uncovered_count=uncovered, k_prime=k_prime)

@@ -23,7 +23,7 @@ from .balancer import DENSE_LIMIT, BalanceStep, SingularJacobian, bdba_solve, bf
 from .busy import BusyState, busy_degrees, disagreement, targets
 from .coverage import ExactNeighbourhoodEvaluator, exact_coverage
 from .jacobian import approx_from_matrix, estimate_jacobian, laplacian_check, support_graph
-from .model import AlgorithmConfig, ConfigError, NetworkTopology, topology_from_dict, topology_to_dict
+from .model import AlgorithmConfig, ConfigError, NetworkTopology, config_field, topology_from_dict, topology_to_dict
 from .mrdata import generate_mr, remove_redundant, subsample, to_attenuation
 from .synth import (
     ScenarioBundle,
@@ -118,8 +118,8 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     return ExperimentSpec(
         topo=topo, pathloss=pathloss, scenario=scenario, cfg=cfg,
         algorithm=d.get("algorithm", "none"),
-        periods=int(d.get("periods", scenario.horizon)),
-        seed=int(d.get("seed", 0)),
+        periods=config_field(d, "periods", int, "spec", scenario.horizon),
+        seed=config_field(d, "seed", int, "spec", 0),
         output_dir=d.get("output_dir"),
         raw=d,
     )
@@ -275,29 +275,23 @@ def run_experiment(spec: ExperimentSpec, output_dir=None,
             users = sample_users(spec.scenario, spec.pathloss, topo, k)
             mr = generate_mr(users, p, cfg.top_m)
             cov = _coverage_dataset(mr, p, cfg, seed=spec.seed + 7919 * k)
-            if spec.algorithm == "none":
-                # the batch was recorded at p: its serving antennas are the
-                # strongest-pilot assignment
-                f = busy_degrees(mr.serving(), users, topo)
-                f_bar = targets(f, topo, cfg.target_mode)
-                state = BusyState(period=k, f=f, f_bar=f_bar,
-                                  d=disagreement(f, f_bar))
-                seconds = 0.0
-            else:
+            # the batch was recorded at p: its serving antennas are the
+            # strongest-pilot assignment
+            f = busy_degrees(mr.serving(), users, topo)
+            f_bar = targets(f, topo, cfg.target_mode)
+            state = BusyState(period=k, f=f, f_bar=f_bar,
+                              d=disagreement(f, f_bar))
+            seconds = 0.0
+            if spec.algorithm != "none":
                 evaluator = ExactNeighbourhoodEvaluator(cov, cfg.r_c)
-                rec = step(topo, p, users, mr, evaluator, cfg,
-                           spec.algorithm, period=k, seed=spec.seed + k)
+                rec = step(topo, p, state, mr, evaluator, cfg, spec.algorithm,
+                           seed=spec.seed + k)
                 steps.append(rec)
-                state = rec.busy
                 seconds = rec.duration_s
                 p = rec.p_next
             # coverage the chosen powers provide on this period's records;
-            # for the baseline these are the recording powers themselves.
-            # The staleness warning is expected here: the query drifts from
-            # the recording powers by exactly this period's adjustment.
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", message=".*recorded.*away from.*")
-                F = exact_coverage(cov, p, cfg.r_c).F
+            # for the baseline these are the recording powers themselves
+            F = exact_coverage(cov, p, cfg.r_c).F
             busy.append(state)
             std, over, dinf = _metrics_row(state, cfg.over_busy_threshold)
             rows.append((k, std, over, dinf, F, seconds))

@@ -45,6 +45,17 @@ def point(xy) -> tuple[float, float]:
     return float(x), float(y)
 
 
+def int_pair(ab) -> tuple[int, int]:
+    """An (a, b) pair of ints from a two-item sequence."""
+    a, b = ab
+    return int(a), int(b)
+
+
+def antenna_ids(ids) -> frozenset[int]:
+    """A set of antenna ids from a sequence of ints."""
+    return frozenset(int(j) for j in ids)
+
+
 def watts_to_dbm(p: float) -> float:
     """Convert transmit power in watts to dBm. Rejects non-positive input."""
     if p <= 0:
@@ -228,7 +239,8 @@ def topology_from_dict(d: dict) -> NetworkTopology:
     antennas.sort(key=lambda a: a.id)
     n = len(antennas)
     raw_neigh = d.get("neighbours", {})
-    neighbours = [frozenset(int(j) for j in raw_neigh.get(str(i), ())) for i in range(1, n + 1)]
+    neighbours = [config_field(raw_neigh, str(i), antenna_ids, "neighbours",
+                               frozenset()) for i in range(1, n + 1)]
     topo = NetworkTopology(tuple(antennas), tuple(neighbours))
     for i, peers in enumerate(topo.neighbours, start=1):
         for j in sorted(peers):

@@ -42,25 +42,19 @@ class MrRecord:
 
 @dataclass
 class MrDataset:
-    """Padded-array batch of measurement records.
-
-    ``raw_count`` preserves the pre-deduplication record count.
-    """
+    """Padded-array batch of measurement records."""
 
     ids: np.ndarray
     values: np.ndarray
     domain: str
     n_antennas: int
     recorded_powers: np.ndarray | None = None
-    raw_count: int | None = None
 
     def __post_init__(self):
         if self.domain not in ("signal", "attenuation"):
             raise ValueError(f"unknown record domain {self.domain!r}")
         if self.ids.shape != self.values.shape:
             raise ValueError("ids/values shape mismatch")
-        if self.raw_count is None:
-            self.raw_count = len(self.ids)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -177,7 +171,7 @@ def to_attenuation(ds: MrDataset, powers: np.ndarray) -> MrDataset:
     safe_ids = np.where(mask, ds.ids, 1)
     values = np.where(mask, powers[safe_ids - 1] - ds.values, np.nan)
     return MrDataset(ds.ids.copy(), values, "attenuation", ds.n_antennas,
-                     recorded_powers=powers.copy(), raw_count=ds.raw_count)
+                     recorded_powers=powers.copy())
 
 
 def remove_redundant(ds: MrDataset) -> MrDataset:
@@ -190,7 +184,7 @@ def remove_redundant(ds: MrDataset) -> MrDataset:
     never lets its record dominate or be dominated through that antenna.
     A row listing no antenna (only a hand-built batch holds one) lists a
     subset of every record: the first such row deletes every other row.
-    Survivor order is preserved; ``raw_count`` keeps the pre-deletion count.
+    Survivor order is preserved.
 
     One sorted pass runs per record width t. It takes the records that list
     t antennas and, for every wider record, its projection onto each t of
@@ -210,8 +204,7 @@ def remove_redundant(ds: MrDataset) -> MrDataset:
     k = len(ds)
     if k <= 1:
         return MrDataset(ds.ids.copy(), ds.values.copy(), ds.domain,
-                         ds.n_antennas, recorded_powers=ds.recorded_powers,
-                         raw_count=ds.raw_count)
+                         ds.n_antennas, recorded_powers=ds.recorded_powers)
 
     mask = ds.entry_mask()
     sort_ids = np.where(mask, ds.ids, _PAD_SENTINEL)
@@ -225,8 +218,7 @@ def remove_redundant(ds: MrDataset) -> MrDataset:
         deleted[owners[_dominated_in_set(ids, vals, records)]] = True
     keep = ~deleted
     return MrDataset(ds.ids[keep].copy(), ds.values[keep].copy(), ds.domain,
-                     ds.n_antennas, recorded_powers=ds.recorded_powers,
-                     raw_count=ds.raw_count)
+                     ds.n_antennas, recorded_powers=ds.recorded_powers)
 
 
 def _width_items(sids: np.ndarray, svals: np.ndarray, sizes: np.ndarray,
@@ -455,5 +447,4 @@ def subsample(ds: MrDataset, cap: int, seed: int = 0) -> MrDataset:
     pick = rng.choice(len(ds), size=cap, replace=False)
     pick.sort()
     return MrDataset(ds.ids[pick].copy(), ds.values[pick].copy(), ds.domain,
-                     ds.n_antennas, recorded_powers=ds.recorded_powers,
-                     raw_count=ds.raw_count)
+                     ds.n_antennas, recorded_powers=ds.recorded_powers)

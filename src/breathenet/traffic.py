@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ConfigError, NetworkTopology, config_field, point
+from .model import ConfigError, NetworkTopology, config_field, int_pair, point
 
 # Elements per scratch buffer of the row-blocked U x n kernels (1 MiB of
 # float64): large enough that per-block overhead vanishes, small enough that
@@ -432,13 +432,12 @@ def scenario_from_dict(d: dict) -> TrafficScenario:
         periods.append(PeriodSpec(
             total_users=config_field(p, "total_users", int, f"period {k}"),
             hotspots=tuple(hotspots)))
-    demand = d.get("demand", [1, 1])
     return TrafficScenario(
         periods=tuple(periods),
         seed=config_field(d, "seed", int, "scenario", 0),
         mode=d.get("mode", "free"),
         freeze_at=config_field(d, "freeze_at", int, "scenario", None),
-        demand=(int(demand[0]), int(demand[1])),
+        demand=config_field(d, "demand", int_pair, "scenario", (1, 1)),
     )
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from breathenet import balancer
 from breathenet.balancer import (
-    DegenerateDiagonal,
     SingularJacobian,
     _zero_sum_basis,
     apply_and_clamp,
@@ -18,8 +17,9 @@ from breathenet.balancer import (
     save_steps_jsonl,
     step,
 )
+from breathenet.busy import BusyState, busy_degrees, disagreement, targets
 from breathenet.coverage import ExactNeighbourhoodEvaluator, InfeasibleCoverage
-from breathenet.jacobian import approx_from_matrix, support_graph
+from breathenet.jacobian import approx_from_matrix, estimate_jacobian, support_graph
 from breathenet.model import AlgorithmConfig, Antenna, NetworkTopology
 from breathenet.mrdata import generate_mr, to_attenuation
 from breathenet.traffic import UserBatch
@@ -233,11 +233,34 @@ class TestFastSolve:
                            tau=0.01)
         np.testing.assert_allclose(u, [-0.05, -0.25], atol=1e-15)
 
-    def test_non_positive_diagonal_raises(self):
+    def test_non_positive_diagonal_holds(self):
         approx = approx_from_matrix(np.diag([2.0, 0.0, -1.0]))
-        with pytest.raises(DegenerateDiagonal) as exc:
-            bfdba_solve(approx, np.zeros(3), np.full(3, 40.0), tau=0.01)
-        assert exc.value.antennas == (2, 3)
+        u, diag = bfdba_solve(approx, np.ones(3), np.full(3, 40.0), tau=0.01)
+        np.testing.assert_array_equal(u, np.zeros(3))
+        assert diag == {"method": "hold", "degenerate": [2, 3]}
+
+    @PROPERTY
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 0.05), st.floats(0.0, 1.0))
+    def test_divides_or_holds(self, n, seed, tau, bad_share):
+        # the diagonal alone decides: off-diagonal entries are noise here
+        rng = np.random.default_rng(seed)
+        diag = rng.choice([-1.0, 0.0, 1.0], size=n,
+                          p=[bad_share / 2, bad_share / 2, 1 - bad_share])
+        diag *= rng.uniform(0.01, 5.0, size=n)
+        a = rng.standard_normal((n, n))
+        np.fill_diagonal(a, diag)
+        d = rng.uniform(-1.0, 1.0, size=n)
+        p = rng.uniform(0.0, 50.0, size=n)
+        u, info = bfdba_solve(approx_from_matrix(a), d, p, tau)
+        if (diag > 0).all():
+            assert np.array_equal(u, (d - tau * p) / diag)
+            assert info["method"] == "diagonal"
+        else:
+            np.testing.assert_array_equal(u, np.zeros(n))
+            assert info["method"] == "hold"
+            assert info["degenerate"] == [i + 1 for i in range(n)
+                                          if diag[i] <= 0]
 
 
 class TestApplyAndClamp:
@@ -294,7 +317,9 @@ class TestApplyAndClamp:
                             np.ones(1))
 
 
-def step_inputs(att, r=100, r_c=-120.0, **cfg_kw):
+def step_inputs(att, r=100, r_c=-120.0, period=1, **cfg_kw):
+    """A step's arguments on a batch recorded at the initial powers, with
+    the period's busy state counted on its serving antennas."""
     topo = make_topo(np.asarray(att).shape[1], r=r)
     users = batch_from_attenuation(att)
     p = topo.initial_powers()
@@ -302,30 +327,46 @@ def step_inputs(att, r=100, r_c=-120.0, **cfg_kw):
     cov = to_attenuation(mr, p)
     cfg = AlgorithmConfig(r_c=r_c, **cfg_kw)
     evaluator = ExactNeighbourhoodEvaluator(cov, cfg.r_c)
-    return topo, p, users, mr, evaluator, cfg
+    f = busy_degrees(mr.serving(), users, topo)
+    f_bar = targets(f, topo, cfg.target_mode)
+    state = BusyState(period=period, f=f, f_bar=f_bar, d=disagreement(f, f_bar))
+    return topo, p, state, mr, evaluator, cfg
 
 
 class TestStep:
     def test_balanced_network_stays_put(self):
         att = np.array([[70.0, 72.0]] * 50 + [[72.0, 70.0]] * 50)
-        topo, p, users, mr, evaluator, cfg = step_inputs(att)
-        rec = step(topo, p, users, mr, evaluator, cfg, "bdba", period=1)
+        topo, p, state, mr, evaluator, cfg = step_inputs(att)
+        rec = step(topo, p, state, mr, evaluator, cfg, "bdba")
         np.testing.assert_allclose(rec.u, [0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(rec.p_next, p, atol=1e-12)
-        assert rec.busy.period == 1
+        assert rec.period == 1
 
     def test_adjustment_drains_the_busy_antenna(self):
         att = np.array([[70.0, 72.0]] * 80 + [[72.0, 70.0]] * 20)
-        topo, p, users, mr, evaluator, cfg = step_inputs(att)
-        rec = step(topo, p, users, mr, evaluator, cfg, "bdba", period=1)
+        topo, p, state, mr, evaluator, cfg = step_inputs(att)
+        rec = step(topo, p, state, mr, evaluator, cfg, "bdba")
         assert rec.u[0] < 0 < rec.u[1]
+
+    @pytest.mark.parametrize("algorithm", ["bdba", "bfdba"])
+    def test_solves_the_estimate_of_its_busy_state(self, algorithm):
+        # half of antenna 1's records switch, so the estimate depends on f
+        att = np.array([[70.0, 70.2]] * 30 + [[70.0, 90.0]] * 30
+                       + [[70.2, 70.0]] * 20)
+        topo, p, state, mr, evaluator, cfg = step_inputs(att)
+        rec = step(topo, p, state, mr, evaluator, cfg, algorithm, seed=5)
+        approx = estimate_jacobian(mr, p, state.f, state.f_bar, topo, cfg,
+                                   seed=5, diagonal_only=(algorithm == "bfdba"))
+        u = (bdba_solve(approx, state.d, cfg.svd_cutoff)[0]
+             if algorithm == "bdba" else bfdba_solve(approx, state.d, p, cfg.tau)[0])
+        np.testing.assert_array_equal(rec.u, u)
 
     def test_degenerate_estimate_holds_powers(self):
         # runner-up 30 dB behind: no record can flip, the matrix is zero
         att = np.array([[60.0, 90.0]] * 30 + [[90.0, 60.0]] * 30)
-        topo, p, users, mr, evaluator, cfg = step_inputs(att)
+        topo, p, state, mr, evaluator, cfg = step_inputs(att)
         with pytest.warns(UserWarning):
-            rec = step(topo, p, users, mr, evaluator, cfg, "bfdba", period=1)
+            rec = step(topo, p, state, mr, evaluator, cfg, "bfdba")
         assert rec.held
         np.testing.assert_array_equal(rec.p_next, p)
         np.testing.assert_array_equal(rec.u, np.zeros(2))
@@ -336,42 +377,43 @@ class TestStep:
                        + [[72.0, 70.0, 95.0, 95.0]] * 25
                        + [[95.0, 95.0, 70.0, 72.0]] * 25
                        + [[95.0, 95.0, 72.0, 70.0]] * 25)
-        topo, p, users, mr, evaluator, cfg = step_inputs(att)
+        topo, p, state, mr, evaluator, cfg = step_inputs(att)
         with pytest.warns(UserWarning, match="falling back"):
-            rec = step(topo, p, users, mr, evaluator, cfg, "bdba", period=1)
+            rec = step(topo, p, state, mr, evaluator, cfg, "bdba")
         assert rec.fallback
         assert rec.algorithm == "bfdba"
 
     def test_infeasible_coverage_names_the_period(self):
         att = np.array([[70.0, 72.0]] * 50 + [[72.0, 70.0]] * 50)
-        topo, p, users, mr, evaluator, cfg = step_inputs(att, r_c=-10.0)
+        topo, p, state, mr, evaluator, cfg = step_inputs(att, r_c=-10.0,
+                                                         period=3)
         with pytest.raises(InfeasibleCoverage, match="period 3"):
-            step(topo, p, users, mr, evaluator, cfg, "bdba", period=3)
+            step(topo, p, state, mr, evaluator, cfg, "bdba")
 
     def test_unknown_algorithm_rejected(self):
         att = np.array([[70.0, 72.0]] * 10)
-        topo, p, users, mr, evaluator, cfg = step_inputs(att)
+        topo, p, state, mr, evaluator, cfg = step_inputs(att)
         with pytest.raises(ValueError):
-            step(topo, p, users, mr, evaluator, cfg, "newton", period=1)
+            step(topo, p, state, mr, evaluator, cfg, "newton")
 
     def test_batch_recorded_at_other_powers_rejected(self):
         # the serving antennas of a batch are the assignment only at the
         # powers it was recorded at
         att = np.array([[70.0, 72.0]] * 50 + [[72.0, 70.0]] * 50)
-        topo, p, users, mr, evaluator, cfg = step_inputs(att)
+        topo, p, state, mr, evaluator, cfg = step_inputs(att)
         with pytest.raises(ValueError, match="recorded"):
-            step(topo, p + np.array([3.0, 0.0]), users, mr, evaluator, cfg,
-                 "bdba", period=1)
+            step(topo, p + np.array([3.0, 0.0]), state, mr, evaluator, cfg,
+                 "bdba")
         mr.recorded_powers = None
         with pytest.raises(ValueError, match="recorded"):
-            step(topo, p, users, mr, evaluator, cfg, "bfdba", period=1)
+            step(topo, p, state, mr, evaluator, cfg, "bfdba")
 
     def test_coverage_floor_enters_the_clamp(self):
         # reach at the start powers is 69.5 dB, below every entry, so the
         # search has to raise somebody before the clamp
         att = np.array([[70.0, 72.0]] * 50 + [[72.0, 70.0]] * 50)
-        topo, p, users, mr, evaluator, cfg = step_inputs(att, r_c=-29.5)
-        rec = step(topo, p, users, mr, evaluator, cfg, "bdba", period=1)
+        topo, p, state, mr, evaluator, cfg = step_inputs(att, r_c=-29.5)
+        rec = step(topo, p, state, mr, evaluator, cfg, "bdba")
         assert (rec.p_min >= p).all() and (rec.p_min > p).any()
         assert (rec.p_next >= rec.p_min - 1e-12).all()
         rates = evaluator.rates(rec.p_next)
@@ -380,8 +422,8 @@ class TestStep:
 
 def test_steps_jsonl_round_trip(tmp_path):
     att = np.array([[70.0, 72.0]] * 40 + [[72.0, 70.0]] * 60)
-    topo, p, users, mr, evaluator, cfg = step_inputs(att)
-    rec = step(topo, p, users, mr, evaluator, cfg, "bdba", period=1)
+    topo, p, state, mr, evaluator, cfg = step_inputs(att)
+    rec = step(topo, p, state, mr, evaluator, cfg, "bdba")
     path = tmp_path / "steps.jsonl"
     save_steps_jsonl([rec], path)
     lines = path.read_text().strip().splitlines()

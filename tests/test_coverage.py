@@ -18,14 +18,7 @@ from breathenet.coverage import (
     train_neighbourhood_surrogates,
 )
 from breathenet.model import Antenna, NetworkTopology
-from breathenet.mrdata import (
-    MrRecord,
-    dataset_from_records,
-    generate_mr,
-    remove_redundant,
-    to_attenuation,
-)
-from breathenet.traffic import UserBatch
+from breathenet.mrdata import MrRecord, dataset_from_records, remove_redundant
 from test_mrdata import brute_force_survivors, records_as_tuples
 
 
@@ -177,15 +170,6 @@ class TestExactCoverage:
             exact_coverage(ds, np.array([40.0]), r_c=-90.0)
         with pytest.raises(ValueError):
             exact_coverage(att_dataset([[(1, 60.0)]], 1), np.zeros(2), -90.0)
-
-    def test_stale_powers_warn(self):
-        users = UserBatch(np.zeros((5, 2)),
-                          np.full((5, 2), 70.0) + np.arange(10).reshape(5, 2),
-                          np.ones(5, dtype=np.int64), period=1)
-        p = np.array([40.0, 40.0])
-        ds = to_attenuation(generate_mr(users, p, 2), p)
-        with pytest.warns(UserWarning, match="away from"):
-            exact_coverage(ds, p + 7.0, r_c=-90.0)
 
 
 class TestNeighbourhoodCoverage:

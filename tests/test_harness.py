@@ -115,10 +115,21 @@ class TestSpecs:
          "period 2, hotspot 1: missing 'weight'"),
         ("pathloss", lambda p: p.update(exponent="x"),
          "pathloss: exponent 'x' is not a valid float"),
-    ], ids=["no-prb", "bad-prb", "no-weight", "bad-exponent"])
+        ("scenario", lambda s: s.update(demand=["x", 2]),
+         "scenario: demand ['x', 2] is not a valid int_pair"),
+        ("scenario", lambda s: s.update(demand=5),
+         "scenario: demand 5 is not a valid int_pair"),
+        ("topology", lambda t: t["neighbours"]["2"].append("x"),
+         "neighbours: 2 [1, 3, 4, 5, 6, 'x'] is not a valid antenna_ids"),
+        (None, lambda d: d.update(periods="x"),
+         "spec: periods 'x' is not a valid int"),
+        (None, lambda d: d.update(seed="x"),
+         "spec: seed 'x' is not a valid int"),
+    ], ids=["no-prb", "bad-prb", "no-weight", "bad-exponent", "bad-demand",
+            "scalar-demand", "bad-neighbour", "bad-periods", "bad-seed"])
     def test_bad_block_field_named(self, block, edit, message):
         d = spec_to_dict(quick_spec())
-        edit(d[block])
+        edit(d if block is None else d[block])
         with pytest.raises(ConfigError) as exc:
             spec_from_dict(d)
         assert str(exc.value) == message
@@ -195,6 +206,19 @@ class TestRunExperiment:
                                       spec.topo.initial_powers())
         assert result.steps == []
         assert float(result.metrics.step_seconds.max()) == 0.0
+
+    def test_every_controller_records_one_busy_state_per_period(self):
+        # period 1 is recorded at the initial powers under every controller,
+        # so its busy state does not depend on which one balances
+        first = {}
+        for algo in ("none", "bdba", "bfdba"):
+            result = run_experiment(quick_spec(algorithm=algo))
+            assert [s.period for s in result.busy] == [1, 2]
+            first[algo] = result.busy[0]
+        for algo in ("bdba", "bfdba"):
+            for name in ("f", "f_bar", "d"):
+                np.testing.assert_array_equal(getattr(first[algo], name),
+                                              getattr(first["none"], name))
 
     def test_balancing_beats_the_baseline(self):
         # proportional traffic keeps the geometry fixed, so repeated steps
