@@ -37,7 +37,7 @@ def _load_spec(path: str, args) -> "ExperimentSpec":
         raw = json.load(fh)
     overrides = {f.name: getattr(args, f.name) for f in fields(AlgorithmConfig)
                  if getattr(args, f.name, None) is not None}
-    if overrides:
+    if overrides and isinstance(raw.get("cfg", {}), dict):
         raw["cfg"] = {**raw.get("cfg", {}), **overrides}
     if getattr(args, "algorithm", None):
         raw["algorithm"] = args.algorithm

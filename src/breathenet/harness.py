@@ -114,7 +114,11 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         topo = topology_from_dict(raw_topo)
         scenario = scenario_from_dict(raw_scenario)
         pathloss = pathloss_from_dict(d.get("pathloss", {}))
-    cfg = AlgorithmConfig().with_overrides(**d.get("cfg", {}))
+    overrides = d.get("cfg", {})
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"spec: cfg {overrides!r} is not an object of "
+                          "AlgorithmConfig fields")
+    cfg = AlgorithmConfig().with_overrides(**overrides)
     return ExperimentSpec(
         topo=topo, pathloss=pathloss, scenario=scenario, cfg=cfg,
         algorithm=d.get("algorithm", "none"),

@@ -214,11 +214,16 @@ class AlgorithmConfig:
             raise ConfigError("svd_cutoff must lie in [0, 1)")
 
     def with_overrides(self, **kwargs) -> "AlgorithmConfig":
+        """This config with the given fields replaced, each read as the
+        type of its default; a None value keeps the field as it is."""
         known = [f.name for f in fields(self)]
         unknown = sorted(set(kwargs) - set(known))
         if unknown:
             raise ConfigError(f"unknown cfg key(s) {unknown}; known keys: {known}")
-        return replace(self, **kwargs)
+        return replace(self, **{
+            f.name: config_field(kwargs, f.name, type(f.default), "cfg",
+                                 getattr(self, f.name))
+            for f in fields(self) if f.name in kwargs})
 
 
 def topology_from_dict(d: dict) -> NetworkTopology:

@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .model import ConfigError, config_field
-from .traffic import BLOCK_ELEMENTS, UserBatch
+from .traffic import BLOCK_ELEMENTS, KEY_MARGIN, UserBatch
 
 _PAD_SENTINEL = np.iinfo(np.int32).max
 
@@ -100,9 +100,19 @@ def generate_mr(users: UserBatch, powers: np.ndarray, top_m: int = 6) -> MrDatas
     entry 0 agrees with ``assign_users``. Users are ranked one row block at a
     time as ``users.each_block`` hands the blocks over: for a sampled batch
     that is on the attenuation kernel's own threads, while each block is
-    fresh, so no (U, n) array is ever formed. A batch rescaled from a base
-    period ranks the base's rows and takes its users' rows from them;
-    ranking is per row, so that is bitwise what ranking its own rows gives.
+    fresh, so no (U, n) array is ever formed.
+
+    Each row is ranked on the block's key, which lies within
+    ``KEY_MARGIN / 2`` of the attenuation: ``argpartition`` of key - powers
+    takes the m smallest cells. When the (m+1)-th lies more than the margin
+    beyond the m-th, those m cells are the m strongest by the exact
+    attenuation too, so only they go through ``exact``, and a ``lexsort``
+    orders them. A row whose cut holds a tie or a near-tie instead sorts its
+    whole exact row stably, so the lowest ids win as they do in ``argmax``.
+    The values recorded are powers - exact attenuation. A batch rescaled
+    from a base period ranks the base's rows and takes its users' rows from
+    them; ranking is per row, so that is bitwise what ranking its own rows
+    gives.
     """
     if top_m < 1:
         raise ValueError("top_m must be at least 1")
@@ -111,15 +121,27 @@ def generate_mr(users: UserBatch, powers: np.ndarray, top_m: int = 6) -> MrDatas
     if powers.shape != (n,):
         raise ValueError("power vector length does not match antenna count")
     m = min(top_m, n)
+    every = np.arange(n)
     ids = np.empty((users.source_rows, m), np.int32)
     vals = np.empty((users.source_rows, m))
 
-    def rank(lo, hi, att, neg):
+    def rank(lo, hi, key, spare, exact):
         if m < n:
-            part, v = _strongest(att, powers, m, neg)
+            np.subtract(key, powers, out=spare)
+            ranked = np.argpartition(spare, m, axis=1)
+            part = ranked[:, :m]
+            gap = (np.take_along_axis(spare, ranked[:, m:m + 1], axis=1)[:, 0]
+                   - np.take_along_axis(spare, part, axis=1).max(axis=1))
+            # a NaN gap falls back too
+            near = np.flatnonzero(~(gap > KEY_MARGIN))
+            if near.size:
+                # attenuation - powers is exactly -(powers - attenuation):
+                # IEEE subtraction rounds symmetrically
+                neg = exact(near, np.broadcast_to(every, (near.size, n))) - powers
+                part[near] = np.argsort(neg, axis=1, kind="stable")[:, :m]
         else:
-            part = np.broadcast_to(np.arange(n), (hi - lo, n))
-            v = _received(att, powers, part)
+            part = np.broadcast_to(every, (hi - lo, n))
+        v = powers[part] - exact(slice(None), part)
         order = np.lexsort((part, -v), axis=1)
         ids[lo:hi] = np.take_along_axis(part, order, axis=1) + 1
         vals[lo:hi] = np.take_along_axis(v, order, axis=1)
@@ -128,35 +150,6 @@ def generate_mr(users: UserBatch, powers: np.ndarray, top_m: int = 6) -> MrDatas
     if users.pick is not None:
         ids, vals = ids[users.pick], vals[users.pick]
     return MrDataset(ids, vals, "signal", n, recorded_powers=powers.copy())
-
-
-def _received(att: np.ndarray, powers: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """powers - attenuation at the given columns of each row."""
-    return powers[cols] - np.take_along_axis(att, cols, axis=1)
-
-
-def _strongest(att: np.ndarray, powers: np.ndarray, m: int,
-               neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of the m strongest pilots of each row, unordered, with their
-    received strengths; ``neg`` is scratch space shaped like ``att``.
-
-    ``argpartition`` picks an arbitrary subset of values tied at the cut;
-    rows with such a tie are re-ranked by a stable sort so that the lowest
-    ids win, as they do in ``argmax``.
-    """
-    # attenuation - powers is exactly -(powers - attenuation): IEEE
-    # subtraction rounds symmetrically
-    np.subtract(att, powers, out=neg)
-    ranked = np.argpartition(neg, m, axis=1)
-    part = ranked[:, :m]
-    v = _received(att, powers, part)
-    # the cut is tied when a chosen strength equals the (m+1)-th strongest
-    at_cut = v == _received(att, powers, ranked[:, m:m + 1])
-    if at_cut.any():
-        tied = np.flatnonzero(at_cut.any(axis=1))
-        part[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :m]
-        v = _received(att, powers, part)
-    return part, v
 
 
 def to_attenuation(ds: MrDataset, powers: np.ndarray) -> MrDataset:

@@ -8,6 +8,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -19,10 +20,25 @@ from .model import ConfigError, NetworkTopology, config_field, int_pair, point
 BLOCK_ELEMENTS = 1 << 17
 
 # Most threads filling one period's attenuation. The calling thread draws the
-# sequential shadowing stream, about 37% of the fill, and the others compute
-# the blocks and hand them on (to the MR ranking, say); past three threads
-# that draw sets the pace.
+# sequential shadowing stream, and the others fill the blocks' ranking keys
+# and hand them on (to the MR ranking, say). Measured serially on one period
+# of grid-500 and grid-2k (2-core x86), the draw is 66-68% of draw plus key
+# and 45-51% of a whole generate_mr pass, so from three threads on it sets
+# the pace.
 MAX_SAMPLING_WORKERS = 3
+
+# How far apart two ranking keys must lie (dB) for their order to be the
+# order of the exact attenuations. A key and its exact value share dx and dy
+# and differ only in rounding: log10 of the rounded dx^2 + dy^2 against
+# log10 of the rounded hypot (each log within an ulp or two, the squares
+# within 1.5 ulps relative), then one rounding per multiply and add. That is
+# a few ulps of the largest term of the sum (reference_loss,
+# 10*exponent*log10(d), sigma*z): at most 2.3e-13 dB seen for d up to 1e7 m,
+# exponent up to 10 and sigma up to 20 (terms below 1000 dB), and below
+# 1e-10 dB for terms below 1e5 dB. A key then lies within margin/2 of its
+# exact value, so keys more than the margin apart rank as the exact values
+# do.
+KEY_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -128,9 +144,10 @@ class UserBatch:
     from an explicit matrix or, by ``sample_users``, from an
     ``AttenuationRecipe``: then it holds no U x n array. ``each_block``
     streams the recipe's row blocks: the calling thread draws the shadowing
-    and the other workers compute the blocks and run the consumer on them
+    and the other workers fill each block with a ranking key and run the
+    consumer on it, with the exact attenuation on call at any cells
     (``generate_mr`` ranks them there). ``attenuation`` fills the whole
-    matrix through the same kernel on first access and keeps it.
+    matrix through that exact call on first access and keeps it.
     """
 
     def __init__(self, positions: np.ndarray,
@@ -164,9 +181,10 @@ class UserBatch:
         return len(self) if self._recipe is None else len(self._recipe.positions)
 
     def each_block(self, consume) -> None:
-        """Call ``consume(lo, hi, block, spare)`` for every row block
+        """Call ``consume(lo, hi, key, spare, exact)`` for every row block
         [lo, hi) of the source matrix; see ``AttenuationRecipe.stream``.
-        An explicit matrix is handed over in slices on the calling thread."""
+        An explicit matrix is handed over in slices on the calling thread,
+        each slice its own key, with ``exact`` gathering from it."""
         if self._recipe is not None:
             self._recipe.stream(consume)
             return
@@ -175,20 +193,28 @@ class UserBatch:
         spare = np.empty((min(rows, len(att)), att.shape[1]))
         for lo in range(0, len(att), rows):
             hi = min(lo + rows, len(att))
-            consume(lo, hi, att[lo:hi], spare[:hi - lo])
+            block = att[lo:hi]
+            consume(lo, hi, block, spare[:hi - lo], partial(_gather, block))
 
     @property
     def attenuation(self) -> np.ndarray:
-        """The U x n matrix, computed on first access for a sampled batch."""
+        """The U x n matrix, computed on first access for a sampled batch
+        through ``exact`` on every cell."""
         if self._matrix is None:
             full = np.empty((self.source_rows, self.n_antennas))
+            every = np.arange(self.n_antennas)
 
-            def put(lo, hi, block, spare):
-                full[lo:hi] = block
+            def put(lo, hi, key, spare, exact):
+                full[lo:hi] = exact(slice(None), np.broadcast_to(every, key.shape))
 
             self.each_block(put)
             self._matrix = full if self.pick is None else full[self.pick]
         return self._matrix
+
+
+def _gather(block: np.ndarray, rows, cols: np.ndarray) -> np.ndarray:
+    """``block`` at cells (rows, cols): the explicit matrix's ``exact``."""
+    return np.take_along_axis(block[rows], cols, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,30 +241,41 @@ class AttenuationRecipe:
         return self.shape[0]
 
     def stream(self, consume) -> None:
-        """Compute reference_loss + 10*exponent*log10(max(d, 1)) + sigma*z
-        for every source row, one row block at a time, on up to
-        ``_sampling_workers()`` threads, and hand each finished block to
-        ``consume(lo, hi, block, spare)`` on the thread that finished it.
-        ``block`` holds rows [lo, hi); ``spare`` is scratch of the same
-        shape the consumer may overwrite. Both are reused once ``consume``
-        returns, and blocks arrive in no fixed order.
+        """Fill every source row with a ranking key, one row block at a
+        time, on up to ``_sampling_workers()`` threads, and hand each block
+        to ``consume(lo, hi, key, spare, exact)`` on the thread that filled
+        it. ``key`` holds rows [lo, hi) of
 
-        Every block applies the whole-matrix formula operation by operation,
-        in the same order, through ``out=`` ufuncs, so each block is bitwise
-        the matching rows of the one-shot expression whatever the thread
-        count. The shadowing stream is sequential, so the calling thread
-        draws sigma*z for every block in order (block by block it yields the
-        same numbers as one (U, n) draw) into a ring of ``depth`` slots and
+            reference_loss + 5*exponent*log10(max(dx^2 + dy^2, 1)) + sigma*z,
+
+        which is the attenuation up to a few ulps (``KEY_MARGIN``) and costs
+        two multiplies and an add where the attenuation needs ``np.hypot``.
+        ``spare`` is scratch of the same shape the consumer may overwrite.
+        ``exact(rows, cols)`` returns the attenuation
+
+            reference_loss + 10*exponent*log10(max(d, 1)) + sigma*z
+
+        at the cells ``cols[i, j]`` of block rows ``rows[i]`` (``rows`` a
+        slice or an index array, ``cols`` an integer array with one row per
+        block row), operation by operation in the order of the one-shot
+        matrix expression and with the same z: each value is bitwise that
+        matrix's, whatever the thread count. ``key``, ``spare`` and
+        ``exact`` are reused once ``consume`` returns, and blocks arrive in
+        no fixed order.
+
+        The shadowing stream is sequential, so the calling thread draws
+        sigma*z for every block in order (block by block it yields the same
+        numbers as one (U, n) draw) into a ring of ``depth`` slots and
         submits the drawn block to the other workers (to every worker
-        without shadowing). Each of them keeps its own geometry and spare
-        planes, so memory stays a few blocks whatever the user count. The
-        calling thread keeps at most ``depth`` blocks pending: before it
-        draws block b it waits for block b - depth, which frees slot
-        b % depth and raises a failing block's error, so the draw ends
-        within ``depth`` blocks of it. No task waits on anything. With one
-        worker, or one block, the calling thread draws and finishes each
-        block in turn. numpy's ufuncs and the generator release the GIL, so
-        the threads run at once.
+        without shadowing). Each of them keeps its own key and spare planes,
+        so memory stays a few blocks whatever the user count. The calling
+        thread keeps at most ``depth`` blocks pending: before it draws block
+        b it waits for block b - depth, which frees slot b % depth and
+        raises a failing block's error, so the draw ends within ``depth``
+        blocks of it. No task waits on anything. With one worker, or one
+        block, the calling thread draws and finishes each block in turn.
+        numpy's ufuncs and the generator release the GIL, so the threads run
+        at once.
         """
         positions, sites, model = self.positions, self.sites, self.model
         n = len(sites)
@@ -262,6 +299,8 @@ class AttenuationRecipe:
         shadows = np.empty((depth, *shape)) if shadow_rng is not None else None
         mine = threading.local()  # the planes of the thread running finish
         slope = 10.0 * model.exponent
+        # exactly slope / 2: scaling by a power of two commutes with rounding
+        half_slope = 5.0 * model.exponent
 
         def draw(b):
             """Block b's sigma*z in its slot, or None without shadowing."""
@@ -273,20 +312,37 @@ class AttenuationRecipe:
             np.multiply(shadow, model.shadowing_sigma, out=shadow)
             return shadow
 
-        def finish(b, shadow):
-            """Block b's geometry plus its draw ``shadow`` into the consumer."""
-            lo, hi = blocks[b]
-            geom, spare = mine.planes[:, :hi - lo]
-            np.subtract(positions[lo:hi, 0, None], sites[None, :, 0], out=geom)
-            np.subtract(positions[lo:hi, 1, None], sites[None, :, 1], out=spare)
-            np.hypot(geom, spare, out=geom)
-            np.clip(geom, 1.0, None, out=geom)
-            np.log10(geom, out=geom)
-            np.multiply(geom, slope, out=geom)
-            np.add(geom, model.reference_loss, out=geom)
+        def exact(lo, hi, shadow, rows, cols):
+            """The attenuation at cells (rows, cols) of block [lo, hi)."""
+            here = positions[lo:hi][rows]
+            att = np.subtract(here[:, 0, None], sites[cols, 0])
+            dy = np.subtract(here[:, 1, None], sites[cols, 1])
+            np.hypot(att, dy, out=att)
+            np.clip(att, 1.0, None, out=att)
+            np.log10(att, out=att)
+            np.multiply(att, slope, out=att)
+            np.add(att, model.reference_loss, out=att)
             if shadow is not None:
-                np.add(geom, shadow, out=geom)
-            consume(lo, hi, geom, spare)
+                np.add(att, np.take_along_axis(shadow[rows], cols, axis=1),
+                       out=att)
+            return att
+
+        def finish(b, shadow):
+            """Block b's key, with its draw ``shadow``, into the consumer."""
+            lo, hi = blocks[b]
+            key, spare = mine.planes[:, :hi - lo]
+            np.subtract(positions[lo:hi, 0, None], sites[None, :, 0], out=key)
+            np.subtract(positions[lo:hi, 1, None], sites[None, :, 1], out=spare)
+            np.multiply(key, key, out=key)
+            np.multiply(spare, spare, out=spare)
+            np.add(key, spare, out=key)
+            np.maximum(key, 1.0, out=key)
+            np.log10(key, out=key)
+            np.multiply(key, half_slope, out=key)
+            np.add(key, model.reference_loss, out=key)
+            if shadow is not None:
+                np.add(key, shadow, out=key)
+            consume(lo, hi, key, spare, partial(exact, lo, hi, shadow))
 
         if workers <= 1:
             mine.planes = planes[0]

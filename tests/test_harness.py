@@ -125,8 +125,13 @@ class TestSpecs:
          "spec: periods 'x' is not a valid int"),
         (None, lambda d: d.update(seed="x"),
          "spec: seed 'x' is not a valid int"),
+        ("cfg", lambda c: c.update(gamma="x"),
+         "cfg: gamma 'x' is not a valid float"),
+        (None, lambda d: d.update(cfg=[1]),
+         "spec: cfg [1] is not an object of AlgorithmConfig fields"),
     ], ids=["no-prb", "bad-prb", "no-weight", "bad-exponent", "bad-demand",
-            "scalar-demand", "bad-neighbour", "bad-periods", "bad-seed"])
+            "scalar-demand", "bad-neighbour", "bad-periods", "bad-seed",
+            "bad-cfg-value", "cfg-not-an-object"])
     def test_bad_block_field_named(self, block, edit, message):
         d = spec_to_dict(quick_spec())
         edit(d if block is None else d[block])
@@ -400,6 +405,23 @@ class TestCli:
         assert exc.value.code == 2
         assert capsys.readouterr().err == \
             "breathenet: error: periods must be at least 1\n"
+
+    @pytest.mark.parametrize("cfg, flags, want", [
+        ({"gamma": "x"}, [], "cfg: gamma 'x' is not a valid float"),
+        ([1], [], "spec: cfg [1] is not an object of AlgorithmConfig fields"),
+        ([1], ["--gamma", "0.5"],
+         "spec: cfg [1] is not an object of AlgorithmConfig fields"),
+    ], ids=["bad-value", "not-an-object", "not-an-object-with-a-flag"])
+    def test_a_bad_cfg_is_one_error_line(self, tmp_path, capsys, cfg, flags, want):
+        from breathenet.cli import main
+
+        spec_path = self.write_spec(tmp_path)
+        spec_path.write_text(json.dumps(
+            dict(json.loads(spec_path.read_text()), cfg=cfg)))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(spec_path), "--quiet", *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"breathenet: error: {want}\n"
 
     def test_compare_names_a_run_with_no_period(self, tmp_path, capsys):
         from breathenet.cli import main

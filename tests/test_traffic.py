@@ -8,11 +8,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from breathenet import traffic
 from breathenet.model import Antenna, ConfigError, NetworkTopology
 from breathenet.mrdata import generate_mr
 from breathenet.traffic import (
+    KEY_MARGIN,
+    AttenuationRecipe,
     Hotspot,
     PathlossModel,
     PeriodSpec,
@@ -509,7 +513,7 @@ class TestStreamedRanking:
                              topo, 1)
         seen = []
 
-        def consume(lo, hi, block, spare):
+        def consume(lo, hi, key, spare, exact):
             seen.append(lo)
             if lo == failing_block * self.B:
                 raise RuntimeError("consumer failed")
@@ -520,7 +524,7 @@ class TestStreamedRanking:
         assert failing_block * self.B in seen
         # the batch streams again in full afterwards
         seen.clear()
-        batch.each_block(lambda lo, hi, block, spare: seen.append(lo))
+        batch.each_block(lambda lo, hi, key, spare, exact: seen.append(lo))
         assert sorted(seen) == list(range(0, 6 * self.B, self.B))
 
     @pytest.mark.parametrize("workers", [w for w in WORKER_COUNTS if w >= 2])
@@ -544,7 +548,7 @@ class TestStreamedRanking:
         batch = sample_users(self.scenario(blocks * self.B),
                              PathlossModel(seed=3), topo, 1)
 
-        def consume(lo, hi, block, spare):
+        def consume(lo, hi, key, spare, exact):
             if lo == 0:
                 raise RuntimeError("consumer failed")
 
@@ -580,13 +584,107 @@ class TestStreamedRanking:
         batch = sample_users(self.scenario(blocks * self.B),
                              PathlossModel(seed=3), topo, 1)
 
-        def consume(lo, hi, block, spare):
+        def consume(lo, hi, key, spare, exact):
             consumed.add(lo // self.B)
             time.sleep(0.002)
 
         in_time(lambda: batch.each_block(consume))
         assert len(consumed) == blocks
         assert not clobbered
+
+    PAIRS = 6
+
+    def mirrored(self):
+        """Antennas in mirror pairs about x = 0, and users on that axis or
+        within 1e-9 m of it: at equal powers every row holds an exact tie
+        or a near-tie straddling a cut at an odd top_m, and σ = 0 keeps it."""
+        rng = np.random.default_rng(7)
+        half = np.column_stack([rng.uniform(100.0, 3000.0, self.PAIRS),
+                                rng.uniform(-3000.0, 3000.0, self.PAIRS)])
+        sites = np.concatenate([half, half * [-1.0, 1.0]])
+        users = 3 * block_rows(len(sites)) + 7
+        x = np.where(rng.random(users) < 0.3, 0.0,
+                     rng.uniform(-1e-9, 1e-9, users))
+        positions = np.column_stack([x, rng.uniform(-4000.0, 4000.0, users)])
+        model = PathlossModel(exponent=3.1, shadowing_sigma=0.0, seed=1)
+        batch = UserBatch(positions, AttenuationRecipe(positions, sites, model, 1),
+                          np.ones(users, np.int64), 1)
+        return batch, unblocked_attenuation(positions, sites, model, 1)
+
+    @staticmethod
+    def ranked(att, powers, m):
+        """The top m of each row by received strength, ties to the lowest
+        id, written out with one lexsort of the whole explicit matrix."""
+        v = powers - att
+        order = np.lexsort((np.broadcast_to(np.arange(att.shape[1]), att.shape),
+                            -v), axis=1)[:, :m]
+        return order + 1, np.take_along_axis(v, order, axis=1)
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_ties_at_the_cut_rank_as_the_explicit_matrix(self, monkeypatch,
+                                                         workers):
+        monkeypatch.setattr(traffic, "_sampling_workers", lambda: workers)
+        batch, att = self.mirrored()
+        powers = np.full(2 * self.PAIRS, 43.0)
+        for top_m in (1, 3, 5):
+            want_ids, want_vals = self.ranked(att, powers, top_m)
+            v = np.sort(powers - att, axis=1)[:, ::-1]
+            # ties and near-ties straddle the cut in every row
+            assert (v[:, top_m - 1] - v[:, top_m] <= 2 * KEY_MARGIN).all()
+            assert (v[:, top_m - 1] == v[:, top_m]).any()
+            got = generate_mr(batch, powers, top_m)
+            explicit = generate_mr(UserBatch(batch.positions, att, batch.demand, 1),
+                                   powers, top_m)
+            for mr in (got, explicit):
+                assert np.array_equal(mr.ids, want_ids), (workers, top_m)
+                assert np.array_equal(mr.values, want_vals), (workers, top_m)
+
+    @staticmethod
+    def count_exact(batch, n):
+        """Wrap ``batch.each_block`` so that every ``exact`` call is
+        counted: (cells asked at fewer than n columns, rows asked whole)."""
+        stream = batch.each_block
+        lock, seen = threading.Lock(), {"cells": 0, "whole_rows": 0}
+
+        def each_block(consume):
+            def counted(lo, hi, key, spare, exact):
+                def exact_counted(rows, cols):
+                    with lock:
+                        if cols.shape[1] == n:
+                            seen["whole_rows"] += len(cols)
+                        else:
+                            seen["cells"] += cols.size
+                    return exact(rows, cols)
+
+                consume(lo, hi, key, spare, exact_counted)
+
+            stream(counted)
+
+        batch.each_block = each_block
+        return seen
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_exact_runs_only_on_the_listed_cells(self, monkeypatch, workers):
+        monkeypatch.setattr(traffic, "_sampling_workers", lambda: workers)
+        m = 6
+        # shadowed: no near-tie, so exact sees the U·m listed cells alone
+        batch = sample_users(self.scenario(3 * self.B + 7),
+                             PathlossModel(shadowing_sigma=6.0, seed=5),
+                             line_topo(self.N, spacing=150.0), 1)
+        seen = self.count_exact(batch, self.N)
+        generate_mr(batch, self.POWERS, m)
+        assert seen == {"cells": len(batch) * m, "whole_rows": 0}
+        # mirrored: the listed cells, plus whole rows only where the exact
+        # matrix holds a tie or a near-tie at the cut
+        batch, att = self.mirrored()
+        n = att.shape[1]
+        powers = np.full(n, 43.0)
+        v = np.sort(powers - att, axis=1)[:, ::-1]
+        near = int((v[:, 2] - v[:, 3] <= 2 * KEY_MARGIN).sum())
+        seen = self.count_exact(batch, n)
+        generate_mr(batch, powers, 3)
+        assert seen["cells"] == len(batch) * 3
+        assert 0 < seen["whole_rows"] <= near
 
     def test_one_period_holds_no_user_by_antenna_matrix(self, monkeypatch):
         # 20k users x 1000 antennas: the matrix alone would be 160 MB
@@ -604,6 +702,33 @@ class TestStreamedRanking:
             tracemalloc.stop()
         assert len(mr) == 20000
         assert peak < 16 * 2**20, peak / 2**20
+
+
+class TestRankingKey:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(distances=st.lists(st.floats(0.0, 1e7), min_size=1, max_size=8),
+           angle=st.floats(0.0, 2 * np.pi),
+           exponent=st.floats(2.0, 10.0),
+           sigma=st.floats(0.0, 20.0),
+           reference_loss=st.floats(0.0, 150.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_key_lies_within_half_the_margin_of_the_attenuation(
+            self, distances, angle, exponent, sigma, reference_loss, seed):
+        user = np.array([[1234.5, -678.9]])
+        d = np.array(distances)
+        sites = user + np.column_stack([d * np.cos(angle), d * np.sin(angle)])
+        model = PathlossModel(exponent=exponent, reference_loss=reference_loss,
+                              shadowing_sigma=sigma, seed=seed)
+        got = []
+
+        def consume(lo, hi, key, spare, exact):
+            cols = np.arange(len(d))[None, :]
+            got.append((key.copy(), exact(slice(None), cols)))
+
+        AttenuationRecipe(user, sites, model, 1).stream(consume)
+        [(key, att)] = got
+        assert np.array_equal(att, unblocked_attenuation(user, sites, model, 1))
+        assert (np.abs(key - att) < KEY_MARGIN / 2).all(), np.abs(key - att).max()
 
 
 class TestSamplingWorkers:
