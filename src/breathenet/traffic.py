@@ -259,9 +259,9 @@ class AttenuationRecipe:
         slice or an index array, ``cols`` an integer array with one row per
         block row), operation by operation in the order of the one-shot
         matrix expression and with the same z: each value is bitwise that
-        matrix's, whatever the thread count. ``key``, ``spare`` and
-        ``exact`` are reused once ``consume`` returns, and blocks arrive in
-        no fixed order.
+        matrix's, whatever the thread count. Once ``consume`` returns,
+        ``key`` and ``spare`` are reused and ``exact`` may no longer be
+        called. Blocks arrive in no fixed order.
 
         The shadowing stream is sequential, so the calling thread draws
         sigma*z for every block in order (block by block it yields the same
