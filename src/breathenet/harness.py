@@ -74,6 +74,8 @@ class ExperimentSpec:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.periods < 1:
             raise ConfigError("periods must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"run seed must be non-negative, got {self.seed}")
         if self.periods > self.scenario.horizon:
             raise ConfigError(
                 f"periods={self.periods} exceeds the scenario horizon "

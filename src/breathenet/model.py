@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -22,16 +23,18 @@ _REQUIRED = object()
 
 
 def config_field(block: dict, key: str, kind, where: str, default=_REQUIRED):
-    """``kind(block[key])``; a key that is absent or None gives ``default``
-    as it is, when one is given. A missing required key, or a value ``kind``
-    rejects, raises a ConfigError naming ``where`` and ``key``."""
+    """``kind(block[key])``, where ``int`` and ``float`` are read strictly,
+    by ``strict_int`` and ``strict_float``; a key that is absent or None
+    gives ``default`` as it is, when one is given. A missing required key,
+    or a value ``kind`` rejects, raises a ConfigError naming ``where`` and
+    ``key``."""
     value = block.get(key)
     if value is None:
         if default is _REQUIRED:
             raise ConfigError(f"{where}: missing {key!r}")
         return default
     try:
-        return kind(value)
+        return _STRICT.get(kind, kind)(value)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {key}: {exc}") from None
     except (TypeError, ValueError):
@@ -39,21 +42,48 @@ def config_field(block: dict, key: str, kind, where: str, default=_REQUIRED):
                           f"{kind.__name__}") from None
 
 
+def strict_int(value) -> int:
+    """An int from a whole, finite number. A bool, a string, or a number
+    with a fraction or no finite value raises TypeError or ValueError
+    rather than being rounded or read as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is not a number")
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
+def strict_float(value) -> float:
+    """``float(value)``, but a bool raises TypeError."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+_STRICT = {int: strict_int, float: strict_float}
+
+
+def integer(text: str) -> int:
+    """An int from the text of a CSV field, where ``config_field``'s
+    ``int`` takes only a number."""
+    return int(text)
+
+
 def point(xy) -> tuple[float, float]:
     """An (x, y) pair of floats from a two-item sequence."""
     x, y = xy
-    return float(x), float(y)
+    return strict_float(x), strict_float(y)
 
 
 def int_pair(ab) -> tuple[int, int]:
     """An (a, b) pair of ints from a two-item sequence."""
     a, b = ab
-    return int(a), int(b)
+    return strict_int(a), strict_int(b)
 
 
 def antenna_ids(ids) -> frozenset[int]:
     """A set of antenna ids from a sequence of ints."""
-    return frozenset(int(j) for j in ids)
+    return frozenset(strict_int(j) for j in ids)
 
 
 def watts_to_dbm(p: float) -> float:
@@ -69,7 +99,7 @@ def _power_to_dbm(obj) -> float:
         raise ConfigError("power entries need an explicit unit tag, e.g. "
                           '{"value": 20, "unit": "watts"}')
     try:
-        value = float(obj["value"])
+        value = strict_float(obj["value"])
         unit = str(obj["unit"]).lower()
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed power entry: {obj!r}") from exc

@@ -16,8 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import ConfigError, config_field
-from .traffic import BLOCK_ELEMENTS, KEY_MARGIN, UserBatch
+from .model import ConfigError, config_field, integer
+from .traffic import BLOCK_ELEMENTS, UserBatch
 
 _PAD_SENTINEL = np.iinfo(np.int32).max
 
@@ -102,17 +102,14 @@ def generate_mr(users: UserBatch, powers: np.ndarray, top_m: int = 6) -> MrDatas
     that is on the attenuation kernel's own threads, while each block is
     fresh, so no (U, n) array is ever formed.
 
-    Each row is ranked on the block's key, which lies within
-    ``KEY_MARGIN / 2`` of the attenuation: ``argpartition`` of key - powers
-    takes the m smallest cells. When the (m+1)-th lies more than the margin
-    beyond the m-th, those m cells are the m strongest by the exact
-    attenuation too, so only they go through ``exact``, and a ``lexsort``
-    orders them. A row whose cut holds a tie or a near-tie instead sorts its
-    whole exact row stably, so the lowest ids win as they do in ``argmax``.
-    The values recorded are powers - exact attenuation. A batch rescaled
-    from a base period ranks the base's rows and takes its users' rows from
-    them; ranking is per row, so that is bitwise what ranking its own rows
-    gives.
+    ``argpartition`` of attenuation - powers takes each row's m smallest
+    cells, the m strongest pilots, and a ``lexsort`` orders them. When the
+    (m+1)-th cell equals the m-th (or either is NaN), the cut is not
+    decided by strength, and that row instead sorts in full stably, so the
+    lowest ids win as they do in ``argmax``. The values recorded are
+    powers - attenuation at the listed cells. A batch rescaled from a base
+    period ranks the base's rows and takes its users' rows from them;
+    ranking is per row, so that is bitwise what ranking its own rows gives.
     """
     if top_m < 1:
         raise ValueError("top_m must be at least 1")
@@ -125,23 +122,21 @@ def generate_mr(users: UserBatch, powers: np.ndarray, top_m: int = 6) -> MrDatas
     ids = np.empty((users.source_rows, m), np.int32)
     vals = np.empty((users.source_rows, m))
 
-    def rank(lo, hi, key, spare, exact):
+    def rank(lo, hi, att, spare):
         if m < n:
-            np.subtract(key, powers, out=spare)
+            # attenuation - powers is exactly -(powers - attenuation): IEEE
+            # subtraction rounds symmetrically
+            np.subtract(att, powers, out=spare)
             ranked = np.argpartition(spare, m, axis=1)
             part = ranked[:, :m]
             gap = (np.take_along_axis(spare, ranked[:, m:m + 1], axis=1)[:, 0]
                    - np.take_along_axis(spare, part, axis=1).max(axis=1))
-            # a NaN gap falls back too
-            near = np.flatnonzero(~(gap > KEY_MARGIN))
-            if near.size:
-                # attenuation - powers is exactly -(powers - attenuation):
-                # IEEE subtraction rounds symmetrically
-                neg = exact(near, np.broadcast_to(every, (near.size, n))) - powers
-                part[near] = np.argsort(neg, axis=1, kind="stable")[:, :m]
+            tied = np.flatnonzero(~(gap > 0))  # a NaN gap sorts too
+            if tied.size:
+                part[tied] = np.argsort(spare[tied], axis=1, kind="stable")[:, :m]
         else:
             part = np.broadcast_to(every, (hi - lo, n))
-        v = powers[part] - exact(slice(None), part)
+        v = powers[part] - np.take_along_axis(att, part, axis=1)
         order = np.lexsort((part, -v), axis=1)
         ids[lo:hi] = np.take_along_axis(part, order, axis=1) + 1
         vals[lo:hi] = np.take_along_axis(v, order, axis=1)
@@ -396,10 +391,10 @@ def load_csv(path, n_antennas: int, powers=None) -> tuple[MrDataset, LoadReport]
             elif domain != dom:
                 raise ConfigError(f"{where}: domain {dom!r} in a batch of "
                                   f"{domain!r} records")
-            rid = config_field(row, "record_id", int, where)
+            rid = config_field(row, "record_id", integer, where)
             by_record.setdefault(rid, []).append(
-                (config_field(row, "rank", int, where),
-                 config_field(row, "antenna_id", int, where),
+                (config_field(row, "rank", integer, where),
+                 config_field(row, "antenna_id", integer, where),
                  config_field(row, "value", float, where)))
     if domain is None:
         domain = "signal"

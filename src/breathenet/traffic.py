@@ -8,7 +8,6 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -20,34 +19,23 @@ from .model import ConfigError, NetworkTopology, config_field, int_pair, point
 BLOCK_ELEMENTS = 1 << 17
 
 # Most threads filling one period's attenuation. The calling thread draws the
-# sequential shadowing stream, and the others fill the blocks' ranking keys
+# sequential shadowing stream, and the others fill the blocks' attenuation
 # and hand them on (to the MR ranking, say). Measured serially on one period
-# of grid-500 and grid-2k (2-core x86), the draw is 66-68% of draw plus key
+# of grid-500 and grid-2k (2-core x86), the draw is 66-68% of draw plus fill
 # and 45-51% of a whole generate_mr pass, so from three threads on it sets
 # the pace.
 MAX_SAMPLING_WORKERS = 3
-
-# How far apart two ranking keys must lie (dB) for their order to be the
-# order of the exact attenuations. A key and its exact value share dx and dy
-# and differ only in rounding: log10 of the rounded dx^2 + dy^2 against
-# log10 of the rounded hypot (each log within an ulp or two, the squares
-# within 1.5 ulps relative), then one rounding per multiply and add. That is
-# a few ulps of the largest term of the sum (reference_loss,
-# 10*exponent*log10(d), sigma*z): at most 2.3e-13 dB seen for d up to 1e7 m,
-# exponent up to 10 and sigma up to 20 (terms below 1000 dB), and below
-# 1e-10 dB for terms below 1e5 dB. A key then lies within margin/2 of its
-# exact value, so keys more than the margin apart rank as the exact values
-# do.
-KEY_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
 class PathlossModel:
     """Log-distance pathloss: loss = reference_loss + 10*exponent*log10(d) + shadowing.
 
-    Distances are clamped at 1 m before the logarithm. Shadowing is zero-mean
-    Gaussian with ``shadowing_sigma`` dB, drawn once per (user, antenna) pair
-    and frozen for the whole sampling period.
+    Distances are clamped at 1 m before the logarithm. The loss is computed
+    from the squared distance, as 5*exponent*log10(max(d^2, 1)), the same
+    function without a square root. Shadowing is zero-mean Gaussian with
+    ``shadowing_sigma`` dB, drawn once per (user, antenna) pair and frozen
+    for the whole sampling period.
     """
 
     exponent: float = 3.5
@@ -60,6 +48,8 @@ class PathlossModel:
             raise ConfigError(f"pathloss exponent must be >= 2, got {self.exponent}")
         if self.shadowing_sigma < 0:
             raise ConfigError("shadowing sigma must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"pathloss seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -117,6 +107,8 @@ class TrafficScenario:
             raise ConfigError("scenario needs at least one period")
         if self.mode not in ("free", "proportional"):
             raise ConfigError(f"unknown scenario mode {self.mode!r}")
+        if self.seed < 0:
+            raise ConfigError(f"scenario seed must be non-negative, got {self.seed}")
         lo, hi = self.demand
         if lo < 1 or hi < lo:
             raise ConfigError(f"bad demand range {self.demand}")
@@ -144,10 +136,9 @@ class UserBatch:
     from an explicit matrix or, by ``sample_users``, from an
     ``AttenuationRecipe``: then it holds no U x n array. ``each_block``
     streams the recipe's row blocks: the calling thread draws the shadowing
-    and the other workers fill each block with a ranking key and run the
-    consumer on it, with the exact attenuation on call at any cells
-    (``generate_mr`` ranks them there). ``attenuation`` fills the whole
-    matrix through that exact call on first access and keeps it.
+    and the other workers fill each block's attenuation and run the
+    consumer on it (``generate_mr`` ranks it there). ``attenuation`` copies
+    the streamed blocks into the whole matrix on first access and keeps it.
     """
 
     def __init__(self, positions: np.ndarray,
@@ -181,10 +172,9 @@ class UserBatch:
         return len(self) if self._recipe is None else len(self._recipe.positions)
 
     def each_block(self, consume) -> None:
-        """Call ``consume(lo, hi, key, spare, exact)`` for every row block
+        """Call ``consume(lo, hi, att, spare)`` for every row block
         [lo, hi) of the source matrix; see ``AttenuationRecipe.stream``.
-        An explicit matrix is handed over in slices on the calling thread,
-        each slice its own key, with ``exact`` gathering from it."""
+        An explicit matrix is handed over in slices on the calling thread."""
         if self._recipe is not None:
             self._recipe.stream(consume)
             return
@@ -193,28 +183,21 @@ class UserBatch:
         spare = np.empty((min(rows, len(att)), att.shape[1]))
         for lo in range(0, len(att), rows):
             hi = min(lo + rows, len(att))
-            block = att[lo:hi]
-            consume(lo, hi, block, spare[:hi - lo], partial(_gather, block))
+            consume(lo, hi, att[lo:hi], spare[:hi - lo])
 
     @property
     def attenuation(self) -> np.ndarray:
-        """The U x n matrix, computed on first access for a sampled batch
-        through ``exact`` on every cell."""
+        """The U x n matrix, for a sampled batch copied from the streamed
+        blocks on first access."""
         if self._matrix is None:
             full = np.empty((self.source_rows, self.n_antennas))
-            every = np.arange(self.n_antennas)
 
-            def put(lo, hi, key, spare, exact):
-                full[lo:hi] = exact(slice(None), np.broadcast_to(every, key.shape))
+            def put(lo, hi, att, spare):
+                full[lo:hi] = att
 
             self.each_block(put)
             self._matrix = full if self.pick is None else full[self.pick]
         return self._matrix
-
-
-def _gather(block: np.ndarray, rows, cols: np.ndarray) -> np.ndarray:
-    """``block`` at cells (rows, cols): the explicit matrix's ``exact``."""
-    return np.take_along_axis(block[rows], cols, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,41 +224,34 @@ class AttenuationRecipe:
         return self.shape[0]
 
     def stream(self, consume) -> None:
-        """Fill every source row with a ranking key, one row block at a
+        """Fill the attenuation of every source row, one row block at a
         time, on up to ``_sampling_workers()`` threads, and hand each block
-        to ``consume(lo, hi, key, spare, exact)`` on the thread that filled
-        it. ``key`` holds rows [lo, hi) of
+        to ``consume(lo, hi, att, spare)`` on the thread that filled it.
+        ``att`` holds rows [lo, hi) of
 
             reference_loss + 5*exponent*log10(max(dx^2 + dy^2, 1)) + sigma*z,
 
-        which is the attenuation up to a few ulps (``KEY_MARGIN``) and costs
-        two multiplies and an add where the attenuation needs ``np.hypot``.
-        ``spare`` is scratch of the same shape the consumer may overwrite.
-        ``exact(rows, cols)`` returns the attenuation
-
-            reference_loss + 10*exponent*log10(max(d, 1)) + sigma*z
-
-        at the cells ``cols[i, j]`` of block rows ``rows[i]`` (``rows`` a
-        slice or an index array, ``cols`` an integer array with one row per
-        block row), operation by operation in the order of the one-shot
-        matrix expression and with the same z: each value is bitwise that
-        matrix's, whatever the thread count. Once ``consume`` returns,
-        ``key`` and ``spare`` are reused and ``exact`` may no longer be
-        called. Blocks arrive in no fixed order.
+        the ``PathlossModel`` formula taken from the squared distance,
+        operation by operation in the order of the one-shot (U, n) matrix
+        expression and with the same z: each value is bitwise that
+        matrix's, whatever the thread count. ``spare`` is scratch of the
+        same shape the consumer may overwrite; ``att`` it only reads. Once
+        ``consume`` returns, both are reused. Blocks arrive in no fixed
+        order.
 
         The shadowing stream is sequential, so the calling thread draws
         sigma*z for every block in order (block by block it yields the same
         numbers as one (U, n) draw) into a ring of ``depth`` slots and
         submits the drawn block to the other workers (to every worker
-        without shadowing). Each of them keeps its own key and spare planes,
-        so memory stays a few blocks whatever the user count. The calling
-        thread keeps at most ``depth`` blocks pending: before it draws block
-        b it waits for block b - depth, which frees slot b % depth and
-        raises a failing block's error, so the draw ends within ``depth``
-        blocks of it. No task waits on anything. With one worker, or one
-        block, the calling thread draws and finishes each block in turn.
-        numpy's ufuncs and the generator release the GIL, so the threads run
-        at once.
+        without shadowing). Each of them keeps its own attenuation and
+        spare planes, so memory stays a few blocks whatever the user count.
+        The calling thread keeps at most ``depth`` blocks pending: before it
+        draws block b it waits for block b - depth, which frees slot
+        b % depth and raises a failing block's error, so the draw ends
+        within ``depth`` blocks of it. No task waits on anything. With one
+        worker, or one block, the calling thread draws and finishes each
+        block in turn. numpy's ufuncs and the generator release the GIL, so
+        the threads run at once.
         """
         positions, sites, model = self.positions, self.sites, self.model
         n = len(sites)
@@ -298,9 +274,8 @@ class AttenuationRecipe:
         planes = np.empty((block_threads, 2, *shape))
         shadows = np.empty((depth, *shape)) if shadow_rng is not None else None
         mine = threading.local()  # the planes of the thread running finish
-        slope = 10.0 * model.exponent
-        # exactly slope / 2: scaling by a power of two commutes with rounding
-        half_slope = 5.0 * model.exponent
+        # 10*exponent*log10(d) taken as 5*exponent*log10(d^2)
+        slope = 5.0 * model.exponent
 
         def draw(b):
             """Block b's sigma*z in its slot, or None without shadowing."""
@@ -312,37 +287,23 @@ class AttenuationRecipe:
             np.multiply(shadow, model.shadowing_sigma, out=shadow)
             return shadow
 
-        def exact(lo, hi, shadow, rows, cols):
-            """The attenuation at cells (rows, cols) of block [lo, hi)."""
-            here = positions[lo:hi][rows]
-            att = np.subtract(here[:, 0, None], sites[cols, 0])
-            dy = np.subtract(here[:, 1, None], sites[cols, 1])
-            np.hypot(att, dy, out=att)
-            np.clip(att, 1.0, None, out=att)
+        def finish(b, shadow):
+            """Block b's attenuation, with its draw ``shadow``, into the
+            consumer."""
+            lo, hi = blocks[b]
+            att, spare = mine.planes[:, :hi - lo]
+            np.subtract(positions[lo:hi, 0, None], sites[None, :, 0], out=att)
+            np.subtract(positions[lo:hi, 1, None], sites[None, :, 1], out=spare)
+            np.multiply(att, att, out=att)
+            np.multiply(spare, spare, out=spare)
+            np.add(att, spare, out=att)
+            np.maximum(att, 1.0, out=att)
             np.log10(att, out=att)
             np.multiply(att, slope, out=att)
             np.add(att, model.reference_loss, out=att)
             if shadow is not None:
-                np.add(att, np.take_along_axis(shadow[rows], cols, axis=1),
-                       out=att)
-            return att
-
-        def finish(b, shadow):
-            """Block b's key, with its draw ``shadow``, into the consumer."""
-            lo, hi = blocks[b]
-            key, spare = mine.planes[:, :hi - lo]
-            np.subtract(positions[lo:hi, 0, None], sites[None, :, 0], out=key)
-            np.subtract(positions[lo:hi, 1, None], sites[None, :, 1], out=spare)
-            np.multiply(key, key, out=key)
-            np.multiply(spare, spare, out=spare)
-            np.add(key, spare, out=key)
-            np.maximum(key, 1.0, out=key)
-            np.log10(key, out=key)
-            np.multiply(key, half_slope, out=key)
-            np.add(key, model.reference_loss, out=key)
-            if shadow is not None:
-                np.add(key, shadow, out=key)
-            consume(lo, hi, key, spare, partial(exact, lo, hi, shadow))
+                np.add(att, shadow, out=att)
+            consume(lo, hi, att, spare)
 
         if workers <= 1:
             mine.planes = planes[0]

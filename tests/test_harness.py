@@ -129,9 +129,26 @@ class TestSpecs:
          "cfg: gamma 'x' is not a valid float"),
         (None, lambda d: d.update(cfg=[1]),
          "spec: cfg [1] is not an object of AlgorithmConfig fields"),
+        ("cfg", lambda c: c.update(n_s=2.7), "cfg: n_s 2.7 is not a valid int"),
+        ("cfg", lambda c: c.update(n_s=float("inf")),
+         "cfg: n_s inf is not a valid int"),
+        ("cfg", lambda c: c.update(n_s="800"), "cfg: n_s '800' is not a valid int"),
+        ("cfg", lambda c: c.update(top_m=True), "cfg: top_m True is not a valid int"),
+        ("cfg", lambda c: c.update(gamma=True),
+         "cfg: gamma True is not a valid float"),
+        ("topology", lambda t: t["antennas"][1].update(prb=False),
+         "antenna 2: prb False is not a valid int"),
+        ("scenario", lambda s: s.update(demand=[1, 2.5]),
+         "scenario: demand [1, 2.5] is not a valid int_pair"),
+        ("topology", lambda t: t["neighbours"]["2"].append(True),
+         "neighbours: 2 [1, 3, 4, 5, 6, True] is not a valid antenna_ids"),
+        ("topology", lambda t: t["antennas"][1]["power"].update(value=True),
+         "antenna 2: power: malformed power entry: {'value': True, 'unit': 'dbm'}"),
     ], ids=["no-prb", "bad-prb", "no-weight", "bad-exponent", "bad-demand",
             "scalar-demand", "bad-neighbour", "bad-periods", "bad-seed",
-            "bad-cfg-value", "cfg-not-an-object"])
+            "bad-cfg-value", "cfg-not-an-object", "fractional-int",
+            "infinite-int", "string-int", "bool-int", "bool-float", "bool-prb",
+            "fractional-demand", "bool-neighbour", "bool-power"])
     def test_bad_block_field_named(self, block, edit, message):
         d = spec_to_dict(quick_spec())
         edit(d if block is None else d[block])
@@ -422,6 +439,24 @@ class TestCli:
             main(["run", str(spec_path), "--quiet", *flags])
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"breathenet: error: {want}\n"
+
+    @pytest.mark.parametrize("block, flags", [
+        (None, ["--seed", "-1"]), ("pathloss", []), ("scenario", [])],
+        ids=["run", "pathloss", "scenario"])
+    def test_a_negative_seed_is_one_error_line(self, tmp_path, capsys, block,
+                                               flags):
+        from breathenet.cli import main
+
+        d = spec_to_dict(quick_spec())
+        if block is not None:
+            d[block]["seed"] = -1
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(d))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(spec_path), "--quiet", *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == \
+            f"breathenet: error: {block or 'run'} seed must be non-negative, got -1\n"
 
     def test_compare_names_a_run_with_no_period(self, tmp_path, capsys):
         from breathenet.cli import main

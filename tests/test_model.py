@@ -123,6 +123,11 @@ class TestAlgorithmConfig:
         with pytest.raises(ConfigError):
             AlgorithmConfig().with_overrides(gamma=2.0)
 
+    def test_whole_numbers_read_as_ints(self):
+        cfg = AlgorithmConfig().with_overrides(n_s=800.0, top_m=np.int64(4))
+        assert (cfg.n_s, cfg.top_m) == (800, 4)
+        assert type(cfg.n_s) is int and type(cfg.top_m) is int
+
 
 class TestTopologySerialization:
     def test_round_trip(self):
