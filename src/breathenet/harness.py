@@ -23,7 +23,7 @@ from .balancer import DENSE_LIMIT, BalanceStep, SingularJacobian, bdba_solve, bf
 from .busy import BusyState, busy_degrees, disagreement, targets
 from .coverage import ExactNeighbourhoodEvaluator, exact_coverage
 from .jacobian import approx_from_matrix, estimate_jacobian, laplacian_check, support_graph
-from .model import AlgorithmConfig, ConfigError, NetworkTopology, config_field, topology_from_dict, topology_to_dict
+from .model import AlgorithmConfig, ConfigError, NetworkTopology, config_field, floats, topology_from_dict, topology_to_dict
 from .mrdata import generate_mr, remove_redundant, subsample, to_attenuation
 from .synth import (
     ScenarioBundle,
@@ -103,11 +103,16 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
             raise ConfigError(f"unknown bundle {name!r}; "
                               f"choose from {sorted(_BUNDLES)}")
         allowed = _bundle_keywords(_BUNDLES[name])
-        unknown = sorted(set(block) - allowed)
+        unknown = sorted(set(block) - set(allowed))
         if unknown:
             raise ConfigError(f"bundle {name!r} takes no keyword(s) {unknown}; "
                               f"choose from {sorted(allowed)}")
-        topo, pathloss, scenario = _BUNDLES[name](**block)
+        kwargs = {key: config_field(block, key, kind, "bundle", default)
+                  for key, (kind, default) in allowed.items() if key in block}
+        if kwargs.get("seed", 0) < 0:
+            raise ConfigError(
+                f"bundle: seed must be non-negative, got {kwargs['seed']}")
+        topo, pathloss, scenario = _BUNDLES[name](**kwargs)
     else:
         try:
             raw_topo, raw_scenario = d["topology"], d["scenario"]
@@ -126,20 +131,28 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         algorithm=d.get("algorithm", "none"),
         periods=config_field(d, "periods", int, "spec", scenario.horizon),
         seed=config_field(d, "seed", int, "spec", 0),
-        output_dir=d.get("output_dir"),
+        output_dir=config_field(d, "output_dir", str, "spec", None),
         raw=d,
     )
 
 
-def _bundle_keywords(factory: Callable[..., ScenarioBundle]) -> set[str]:
-    """The keywords a bundle generator takes: its own parameters, plus the
-    ``grid_topology`` options it forwards through ``**grid_kw``."""
-    params = inspect.signature(factory).parameters.values()
-    names = {p.name for p in params if p.kind is not p.VAR_KEYWORD}
+# the kinds of the bundle keywords whose default is None
+_NONE_DEFAULT_KINDS = {"p_max": float, "betas": floats}
+
+
+def _bundle_keywords(factory: Callable[..., ScenarioBundle]) -> dict[str, tuple]:
+    """The keywords a bundle generator takes, each mapped to (kind,
+    default), where the kind is the default's own, or the one in
+    ``_NONE_DEFAULT_KINDS`` for a None default: the generator's own
+    parameters, plus the ``grid_topology`` options it forwards through
+    ``**grid_kw``."""
+    params = list(inspect.signature(factory).parameters.values())
     if any(p.kind is p.VAR_KEYWORD for p in params):
         # the bundles fix the grid's shape themselves
-        names |= set(inspect.signature(grid_topology).parameters) - {"nx", "ny"}
-    return names
+        grid = inspect.signature(grid_topology).parameters.values()
+        params = [p for p in grid if p.name not in ("nx", "ny")] + params
+    return {p.name: (_NONE_DEFAULT_KINDS.get(p.name, type(p.default)), p.default)
+            for p in params if p.kind is not p.VAR_KEYWORD}
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:

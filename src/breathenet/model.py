@@ -23,11 +23,11 @@ _REQUIRED = object()
 
 
 def config_field(block: dict, key: str, kind, where: str, default=_REQUIRED):
-    """``kind(block[key])``, where ``int`` and ``float`` are read strictly,
-    by ``strict_int`` and ``strict_float``; a key that is absent or None
-    gives ``default`` as it is, when one is given. A missing required key,
-    or a value ``kind`` rejects, raises a ConfigError naming ``where`` and
-    ``key``."""
+    """``kind(block[key])``, where ``int``, ``float`` and ``str`` are read
+    strictly, by ``strict_int``, ``strict_float`` and ``strict_str``; a key
+    that is absent or None gives ``default`` as it is, when one is given. A
+    missing required key, or a value ``kind`` rejects, raises a ConfigError
+    naming ``where`` and ``key``."""
     value = block.get(key)
     if value is None:
         if default is _REQUIRED:
@@ -60,7 +60,15 @@ def strict_float(value) -> float:
     return float(value)
 
 
-_STRICT = {int: strict_int, float: strict_float}
+def strict_str(value) -> str:
+    """``value`` itself when it is a str; anything else raises TypeError
+    rather than being read as its text."""
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
+_STRICT = {int: strict_int, float: strict_float, str: strict_str}
 
 
 def integer(text: str) -> int:
@@ -73,6 +81,11 @@ def point(xy) -> tuple[float, float]:
     """An (x, y) pair of floats from a two-item sequence."""
     x, y = xy
     return strict_float(x), strict_float(y)
+
+
+def floats(values) -> tuple[float, ...]:
+    """A tuple of floats from a sequence of numbers."""
+    return tuple(strict_float(v) for v in values)
 
 
 def int_pair(ab) -> tuple[int, int]:

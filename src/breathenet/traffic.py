@@ -3,9 +3,9 @@ pathloss with frozen shadowing, and strongest-pilot user assignment."""
 
 from __future__ import annotations
 
+import math
 import os
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -18,12 +18,12 @@ from .model import ConfigError, NetworkTopology, config_field, int_pair, point
 # no temporary grows with the user count.
 BLOCK_ELEMENTS = 1 << 17
 
-# Most threads filling one period's attenuation. The calling thread draws the
-# sequential shadowing stream, and the others fill the blocks' attenuation
-# and hand them on (to the MR ranking, say). Measured serially on one period
-# of grid-500 and grid-2k (2-core x86), the draw is 66-68% of draw plus fill
-# and 45-51% of a whole generate_mr pass, so from three threads on it sets
-# the pace.
+# Most threads filling one period's attenuation. Each thread, the calling
+# one among them, takes its turn at the sequential shadowing stream, then
+# fills its block and hands it on (to the MR ranking, say). Measured serially
+# on one period of grid-500 and grid-2k (2-core x86), the draw is 66-68% of
+# draw plus fill and 45-51% of a whole generate_mr pass; the draws run one at
+# a time, so from three threads on they set the pace.
 MAX_SAMPLING_WORKERS = 3
 
 
@@ -44,6 +44,10 @@ class PathlossModel:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("exponent", "reference_loss", "shadowing_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(
+                    f"pathloss {name} must be finite, got {getattr(self, name)}")
         if self.exponent < 2.0:
             raise ConfigError(f"pathloss exponent must be >= 2, got {self.exponent}")
         if self.shadowing_sigma < 0:
@@ -135,10 +139,11 @@ class UserBatch:
     period, so shadowing is constant within it. A batch is built either
     from an explicit matrix or, by ``sample_users``, from an
     ``AttenuationRecipe``: then it holds no U x n array. ``each_block``
-    streams the recipe's row blocks: the calling thread draws the shadowing
-    and the other workers fill each block's attenuation and run the
-    consumer on it (``generate_mr`` ranks it there). ``attenuation`` copies
-    the streamed blocks into the whole matrix on first access and keeps it.
+    streams the recipe's row blocks: each worker thread, the calling thread
+    among them, takes its turn at the shadowing draw, then fills its block's
+    attenuation and runs the consumer on it (``generate_mr`` ranks it
+    there). ``attenuation`` copies the streamed blocks into the whole matrix
+    on first access and keeps it.
     """
 
     def __init__(self, positions: np.ndarray,
@@ -239,91 +244,73 @@ class AttenuationRecipe:
         ``consume`` returns, both are reused. Blocks arrive in no fixed
         order.
 
-        The shadowing stream is sequential, so the calling thread draws
-        sigma*z for every block in order (block by block it yields the same
-        numbers as one (U, n) draw) into a ring of ``depth`` slots and
-        submits the drawn block to the other workers (to every worker
-        without shadowing). Each of them keeps its own attenuation and
-        spare planes, so memory stays a few blocks whatever the user count.
-        The calling thread keeps at most ``depth`` blocks pending: before it
-        draws block b it waits for block b - depth, which frees slot
-        b % depth and raises a failing block's error, so the draw ends
-        within ``depth`` blocks of it. No task waits on anything. With one
-        worker, or one block, the calling thread draws and finishes each
-        block in turn. numpy's ufuncs and the generator release the GIL, so
-        the threads run at once.
+        Every thread, the calling thread among them, runs the same loop:
+        under one lock it takes the next block and draws that block's z
+        from the sequential shadowing stream into its own shadow plane, so
+        the stream is drawn block by block in order and yields the same
+        numbers as one (U, n) draw. Outside the lock it fills the block and
+        runs the consumer on it. Each thread keeps its own attenuation,
+        spare and shadow planes, so memory stays a few blocks whatever the
+        user count. A thread that raises stops the others at their next
+        turn, and the error reaches the caller. With one worker the calling
+        thread runs the loop alone. numpy's ufuncs and the generator
+        release the GIL, so the threads run at once.
         """
         positions, sites, model = self.positions, self.sites, self.model
         n = len(sites)
         rows = block_rows(n)
         blocks = [(lo, min(lo + rows, len(positions)))
                   for lo in range(0, len(positions), rows)]
-        workers = min(_sampling_workers(), len(blocks))
+        upcoming = iter(blocks)
+        workers = max(1, min(_sampling_workers(), len(blocks)))
         shadow_rng = (np.random.default_rng(
             np.random.SeedSequence(model.seed, spawn_key=(self.period, 1)))
             if model.shadowing_sigma > 0 else None)
-        # on threads the calling thread draws and the blocks run on the rest
-        block_threads = (workers - 1 if shadow_rng is not None and workers > 1
-                         else max(1, workers))
-        # two slots past the block threads let the draw run two blocks ahead:
-        # with one, a slow block stalls it (grid-500 lost about 9% of its
-        # periods per second on a 2-core x86 box)
-        depth = block_threads + 2 if workers > 1 else 1
-        shape = (min(rows, len(positions)), n)
-        # buffers allocated inside the workers grow per-thread malloc arenas
-        planes = np.empty((block_threads, 2, *shape))
-        shadows = np.empty((depth, *shape)) if shadow_rng is not None else None
-        mine = threading.local()  # the planes of the thread running finish
+        # each thread's att, spare and shadow planes; buffers allocated
+        # inside the workers grow per-thread malloc arenas
+        planes = np.empty((workers, 3, min(rows, len(positions)), n))
         # 10*exponent*log10(d) taken as 5*exponent*log10(d^2)
         slope = 5.0 * model.exponent
+        turn = threading.Lock()  # guards upcoming, the draw and stopped
+        stopped = False
 
-        def draw(b):
-            """Block b's sigma*z in its slot, or None without shadowing."""
-            if shadow_rng is None:
-                return None
-            lo, hi = blocks[b]
-            shadow = shadows[b % depth, :hi - lo]
-            shadow_rng.standard_normal(out=shadow)
-            np.multiply(shadow, model.shadowing_sigma, out=shadow)
-            return shadow
+        def run(own):
+            """Take, draw, fill and consume blocks until none is left or a
+            thread has failed."""
+            nonlocal stopped
+            try:
+                while True:
+                    with turn:
+                        block = None if stopped else next(upcoming, None)
+                        if block is None:
+                            return
+                        lo, hi = block
+                        att, spare, shadow = own[:, :hi - lo]
+                        if shadow_rng is not None:
+                            shadow_rng.standard_normal(out=shadow)
+                    np.subtract(positions[lo:hi, 0, None], sites[None, :, 0], out=att)
+                    np.subtract(positions[lo:hi, 1, None], sites[None, :, 1], out=spare)
+                    np.multiply(att, att, out=att)
+                    np.multiply(spare, spare, out=spare)
+                    np.add(att, spare, out=att)
+                    np.maximum(att, 1.0, out=att)
+                    np.log10(att, out=att)
+                    np.multiply(att, slope, out=att)
+                    np.add(att, model.reference_loss, out=att)
+                    if shadow_rng is not None:
+                        np.multiply(shadow, model.shadowing_sigma, out=shadow)
+                        np.add(att, shadow, out=att)
+                    consume(lo, hi, att, spare)
+            except BaseException:
+                stopped = True
+                raise
 
-        def finish(b, shadow):
-            """Block b's attenuation, with its draw ``shadow``, into the
-            consumer."""
-            lo, hi = blocks[b]
-            att, spare = mine.planes[:, :hi - lo]
-            np.subtract(positions[lo:hi, 0, None], sites[None, :, 0], out=att)
-            np.subtract(positions[lo:hi, 1, None], sites[None, :, 1], out=spare)
-            np.multiply(att, att, out=att)
-            np.multiply(spare, spare, out=spare)
-            np.add(att, spare, out=att)
-            np.maximum(att, 1.0, out=att)
-            np.log10(att, out=att)
-            np.multiply(att, slope, out=att)
-            np.add(att, model.reference_loss, out=att)
-            if shadow is not None:
-                np.add(att, shadow, out=att)
-            consume(lo, hi, att, spare)
-
-        if workers <= 1:
-            mine.planes = planes[0]
-            for b in range(len(blocks)):
-                finish(b, draw(b))
-            return
-
-        unowned = iter(planes)
-
-        def take_planes():
-            mine.planes = next(unowned)
-
-        with ThreadPoolExecutor(block_threads, initializer=take_planes) as pool:
-            pending = deque()
-            for b in range(len(blocks)):
-                if len(pending) == depth:
-                    pending.popleft().result()  # frees draw slot b % depth
-                pending.append(pool.submit(finish, b, draw(b)))
-            while pending:
-                pending.popleft().result()
+        # the calling thread is one of the workers; with one, no thread starts
+        with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+            helpers = [pool.submit(run, own) for own in planes[1:]]
+            run(planes[0])
+            for helper in helpers:
+                helper.result()
 
 
 def sample_users(scenario: TrafficScenario, model: PathlossModel,

@@ -144,11 +144,38 @@ class TestSpecs:
          "neighbours: 2 [1, 3, 4, 5, 6, True] is not a valid antenna_ids"),
         ("topology", lambda t: t["antennas"][1]["power"].update(value=True),
          "antenna 2: power: malformed power entry: {'value': True, 'unit': 'dbm'}"),
+        (None, lambda d: d.update(bundle={"name": "tidal", "periods": 2.5}),
+         "bundle: periods 2.5 is not a valid int"),
+        (None, lambda d: d.update(bundle={"name": "random", "total_users": True}),
+         "bundle: total_users True is not a valid int"),
+        (None, lambda d: d.update(bundle={"name": "random", "seed": -1}),
+         "bundle: seed must be non-negative, got -1"),
+        (None, lambda d: d.update(bundle={"name": "tidal", "seed": -1}),
+         "bundle: seed must be non-negative, got -1"),
+        (None, lambda d: d.update(bundle={"name": "tidal", "seed": -2}),
+         "bundle: seed must be non-negative, got -2"),
+        ("pathloss", lambda p: p.update(exponent=float("nan")),
+         "pathloss exponent must be finite, got nan"),
+        ("pathloss", lambda p: p.update(reference_loss=float("inf")),
+         "pathloss reference_loss must be finite, got inf"),
+        ("pathloss", lambda p: p.update(shadowing_sigma=float("nan")),
+         "pathloss shadowing_sigma must be finite, got nan"),
+        ("pathloss", lambda p: p.update(shadowing_sigma=float("inf")),
+         "pathloss shadowing_sigma must be finite, got inf"),
+        (None, lambda d: d.update(output_dir=5),
+         "spec: output_dir 5 is not a valid str"),
+        (None, lambda d: d.update(bundle={"name": "proportional",
+                                          "betas": [1.0, "x"]}),
+         "bundle: betas [1.0, 'x'] is not a valid floats"),
     ], ids=["no-prb", "bad-prb", "no-weight", "bad-exponent", "bad-demand",
             "scalar-demand", "bad-neighbour", "bad-periods", "bad-seed",
             "bad-cfg-value", "cfg-not-an-object", "fractional-int",
             "infinite-int", "string-int", "bool-int", "bool-float", "bool-prb",
-            "fractional-demand", "bool-neighbour", "bool-power"])
+            "fractional-demand", "bool-neighbour", "bool-power",
+            "fractional-bundle-int", "bool-bundle-int", "negative-random-seed",
+            "negative-tidal-seed", "negative-tidal-seed-2", "nan-exponent",
+            "infinite-reference-loss", "nan-sigma", "infinite-sigma",
+            "int-output-dir", "string-beta"])
     def test_bad_block_field_named(self, block, edit, message):
         d = spec_to_dict(quick_spec())
         edit(d if block is None else d[block])

@@ -371,7 +371,7 @@ class TestBlockedAttenuation:
         topo, batches = self.sample(monkeypatch, users, model)
         self.assert_unblocked(topo, batches, model)
 
-    # the first draw fails before any block is submitted
+    # the first draw fails before any block is filled
     @at_each_worker_count("fail_at", {"second": 2, "first": 1})
     def test_a_failing_draw_is_raised_and_frees_every_worker(self, monkeypatch,
                                                              workers, fail_at):
@@ -392,6 +392,45 @@ class TestBlockedAttenuation:
         got = sample_in_time(scenario, PathlossModel(seed=3), topo, 1)
         assert isinstance(got, RuntimeError)
         assert str(got) == "shadowing draw failed"
+
+    @pytest.mark.parametrize("workers", [w for w in WORKER_COUNTS if w >= 2])
+    def test_draws_take_turns_in_block_order(self, monkeypatch, workers):
+        # each draw sleeps before it takes its numbers: a draw made outside
+        # the turn overlaps another one and takes the stream out of order
+        real_rng = np.random.default_rng
+        counting = threading.Lock()
+        drawing, overlaps = [0], []
+
+        class SlowDraw(FailingDraw):
+            def standard_normal(self, out):
+                with counting:
+                    drawing[0] += 1
+                    if drawing[0] > 1:
+                        overlaps.append(drawing[0])
+                time.sleep(0.002)
+                try:
+                    return super().standard_normal(out)
+                finally:
+                    with counting:
+                        drawing[0] -= 1
+
+        def rng_for(seed):
+            rng = real_rng(seed)
+            return SlowDraw(rng, None) if seed.spawn_key == (1, 1) else rng
+
+        monkeypatch.setattr(np.random, "default_rng", rng_for)
+        monkeypatch.setattr(traffic, "_sampling_workers", lambda: workers)
+        topo = line_topo(self.N, spacing=150.0)
+        scenario = TrafficScenario(
+            periods=(PeriodSpec(12 * self.B - 7,
+                                (Hotspot((4000.0, 0.0), 1.0, 2500.0),)),),
+            seed=19)
+        model = PathlossModel(shadowing_sigma=5.0, seed=6)
+        batch = sample_in_time(scenario, model, topo, 1)
+        assert not overlaps
+        monkeypatch.setattr(np.random, "default_rng", real_rng)
+        want = unblocked_attenuation(batch.positions, topo.positions(), model, 1)
+        assert np.array_equal(batch.attenuation, want)
 
     def test_more_workers_than_cores_under_a_short_switch_interval(self, monkeypatch):
         # more workers than cores, at most 8 to keep the batch small
@@ -529,7 +568,7 @@ class TestStreamedRanking:
 
     @pytest.mark.parametrize("workers", [w for w in WORKER_COUNTS if w >= 2])
     def test_a_failing_block_stops_the_draw(self, monkeypatch, workers):
-        # the consumer fails on block 0 of 40: the calling thread must stop
+        # the consumer fails on block 0 of 40: every worker must stop
         # drawing, leaving most blocks undrawn
         blocks = 40
         real_rng = np.random.default_rng
@@ -560,8 +599,8 @@ class TestStreamedRanking:
     @pytest.mark.parametrize("workers", [w for w in WORKER_COUNTS if w >= 2])
     def test_a_draw_slot_is_reused_only_after_its_block_ended(
             self, monkeypatch, workers):
-        # slow consumers keep the draw at its window: each draw must land in
-        # a buffer whose last block has already reached its consumer
+        # slow consumers keep every worker's planes busy: each draw must land
+        # in a buffer whose last block has already reached its consumer
         blocks = 24
         real_rng = np.random.default_rng
         owner, consumed, clobbered = {}, set(), []
