@@ -47,9 +47,9 @@ def _require_attenuation(ds: MrDataset) -> None:
 
 def covered(ds: MrDataset, powers: np.ndarray, r_c: float) -> np.ndarray:
     """Per record: some listed antenna i has attenuation <= p_i - r_c."""
-    mask = ds.entry_mask()
-    cut = powers[np.where(mask, ds.ids, 1) - 1] - r_c
-    return (mask & (ds.values <= cut)).any(axis=1)
+    # the cut by 1-based id, NaN at the padding id 0, so padding never covers
+    cut = np.concatenate(([np.nan], powers - r_c))
+    return (ds.values <= cut[ds.ids]).any(axis=1)
 
 
 def exact_coverage(ds: MrDataset, powers: np.ndarray, r_c: float) -> CoverageReport:

@@ -112,6 +112,19 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         if kwargs.get("seed", 0) < 0:
             raise ConfigError(
                 f"bundle: seed must be non-negative, got {kwargs['seed']}")
+        for key in ("nx", "ny", "n_hotspots"):
+            if kwargs.get(key, 1) < 1:
+                raise ConfigError(
+                    f"bundle: {key} must be at least 1, got {kwargs[key]}")
+        betas = kwargs.get("betas")
+        if betas is not None:
+            if not all(np.isfinite(b) and b >= 0 for b in betas):
+                raise ConfigError("bundle: betas must be finite and "
+                                  f"non-negative, got {list(betas)}")
+            if len(betas) != kwargs.get("periods", len(betas)):
+                raise ConfigError(
+                    f"bundle: betas lists {len(betas)} period(s), "
+                    f"periods is {kwargs['periods']}")
         topo, pathloss, scenario = _BUNDLES[name](**kwargs)
     else:
         try:

@@ -76,6 +76,12 @@ def estimate_jacobian(ds: MrDataset, powers: np.ndarray, f: np.ndarray,
     are not assembled (the counting pass is shared). The sparse matrix is
     built from the (i, j, count) switch triplets alone, in
     O(records * top_m + n) memory; no n x n array is formed.
+
+    Every record must list its entries by falling received strength (ties
+    allowed), padding last, as ``generate_mr`` records them and ``load_csv``
+    enforces: the down-shift reads column 1 as the strongest competitor,
+    and the up-shift stops reading a record at the first column that even
+    the largest shift cannot lift above column 0.
     """
     if ds.domain != "signal":
         raise ValueError("jacobian estimation needs signal-domain records")
@@ -98,31 +104,48 @@ def estimate_jacobian(ds: MrDataset, powers: np.ndarray, f: np.ndarray,
         warnings.warn(f"antennas without serving records: {empty}; "
                       "their jacobian rows are zero")
 
-    # switches keyed i * n + j by the 0-based (serving i, competitor j);
-    # padding entries get id -1. The sampled rows are gathered one column
-    # at a time: each column is a small array the allocator reuses from
-    # step to step, where a whole (rows, top_m) copy is mapped afresh
-    m = ds.top_m
-    ids = [np.subtract(ds.ids[rows, c], 1, dtype=np.int64) for c in range(m)]
-    vals = [ds.values[rows, c] for c in range(m)]
-    srv = ids[0]
+    # switches keyed i * n + j by the 0-based (serving i, competitor j). The
+    # rows are read in place when every record is sampled. eps * p is looked
+    # up by 1-based id, NaN at the padding id 0, so padding never wins
+    if len(rows) == len(ds):
+        ids, vals = ds.ids, ds.values
+    else:
+        ids, vals = ds.ids[rows], ds.values[rows]
+    shift = np.empty(n + 1)
+    shift[0] = np.nan
+    np.multiply(eps, powers, out=shift[1:])
+    srv, best = ids[:, 0], vals[:, 0]
+
+    def keys(hit, j):
+        return (srv[hit].astype(np.int64) - 1) * n + (j - 1)
+
     down = up = np.zeros(0, dtype=np.int64)
-    if m > 1:
-        # down-shift: the strongest competitor is column 1 (entries are
-        # sorted by value desc, ties by id asc), so it wins or nobody does
-        j1 = ids[1]
-        lowered = vals[0] - eps * powers[srv]
-        win = (j1 >= 0) & ((vals[1] > lowered)
-                           | ((vals[1] == lowered) & (j1 < srv)))
-        down = srv[win] * n + j1[win]
-        # up-shift: a boosted competitor must strictly beat every entry,
-        # and column 0 holds the row maximum
-        keys = []
-        for c in range(1, m):
-            jc = ids[c]
-            win = (jc >= 0) & (vals[c] + eps * powers[jc] > vals[0])
-            keys.append(srv[win] * n + jc[win])
-        up = np.concatenate(keys)
+    if ids.shape[1] > 1:
+        # down-shift: the strongest competitor is column 1 (entries fall by
+        # value; generate_mr breaks ties by id asc), so it wins or nobody does
+        j1, v1 = ids[:, 1], vals[:, 1]
+        lowered = best - shift[srv]
+        near = np.flatnonzero(v1 >= lowered)
+        j = j1[near]
+        win = (j > 0) & ((v1[near] > lowered[near]) | (j < srv[near]))
+        down = keys(near[win], j[win])
+        # up-shift: a boosted competitor must strictly beat column 0, the
+        # row maximum. Values fall along the row and rounding is monotone,
+        # so a record whose column c misses even under the largest shift
+        # misses in every later column too: only the records still near
+        # are read
+        reach = shift[1:].max()
+        near = np.flatnonzero(v1 + reach > best)
+        found = []
+        for c in range(1, ids.shape[1]):
+            vc, top = vals[near, c], best[near]
+            if c > 1:
+                still = vc + reach > top
+                near, vc, top = near[still], vc[still], top[still]
+            j = ids[near, c]
+            win = vc + shift[j] > top
+            found.append(keys(near[win], j[win]))
+        up = np.concatenate(found)
 
     denom = np.maximum(sample_sizes, 1).astype(float)
     r = topo.prb_vector()

@@ -155,9 +155,8 @@ def to_attenuation(ds: MrDataset, powers: np.ndarray) -> MrDataset:
     powers = np.asarray(powers, dtype=float)
     if powers.shape != (ds.n_antennas,):
         raise ValueError("power vector length does not match antenna count")
-    mask = ds.entry_mask()
-    safe_ids = np.where(mask, ds.ids, 1)
-    values = np.where(mask, powers[safe_ids - 1] - ds.values, np.nan)
+    # powers by 1-based id, NaN at the padding id 0
+    values = np.concatenate(([np.nan], powers))[ds.ids] - ds.values
     return MrDataset(ds.ids.copy(), values, "attenuation", ds.n_antennas,
                      recorded_powers=powers.copy())
 
@@ -294,33 +293,33 @@ def sample_for_jacobian(ds: MrDataset, n_s: int,
                         seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Uniformly sample up to n_s serving-record indices of every antenna.
 
-    Returns ``(rows, sizes)``: ``rows`` holds antenna 1's sampled record
-    indices in ascending order, then antenna 2's, and so on; ``sizes[i-1]``
-    is how many antenna i got. An antenna with at most n_s serving records
-    keeps them all; a larger set is sampled without replacement,
-    deterministically given (seed, i).
+    Returns ``(rows, sizes)``: ``rows`` holds the sampled record indices in
+    ascending order, and ``sizes[i-1]`` is how many antenna i got. An antenna
+    with at most n_s serving records keeps them all; a larger set, taken in
+    record order, is sampled without replacement, deterministically given
+    (seed, i). Records served by no antenna 1..n are never sampled.
     """
     if n_s < 1:
         raise ValueError("n_s must be at least 1")
     n = ds.n_antennas
     serving = ds.serving()
     counts = np.bincount(serving, minlength=n + 1)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    # a stable sort keeps each antenna's records in ascending order, and
-    # antennas 1..n occupy one contiguous run of it
-    order = np.argsort(serving, kind="stable")
-    keep = np.zeros(len(order), dtype=bool)
-    keep[starts[1]:ends[n]] = True
-    for i in np.flatnonzero(counts[1:n + 1] > n_s) + 1:
-        lo, hi = starts[i], ends[i]
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(int(i),)))
-        pick = rng.choice(hi - lo, size=n_s, replace=False)
-        pick.sort()
-        keep[lo:hi] = False
-        keep[lo + pick] = True
-    return order[keep], np.minimum(counts[1:n + 1], n_s)
+    sizes = np.minimum(counts[1:n + 1], n_s)
+    over = np.flatnonzero(counts[1:n + 1] > n_s) + 1
+    keep = (serving > 0) & (serving <= n)
+    if over.size:
+        # a stable sort lists each antenna's records in ascending order, in
+        # one run per antenna that ends at ends[i]
+        order = np.argsort(serving, kind="stable")
+        ends = np.cumsum(counts)
+        for i in over:
+            mine = order[ends[i] - counts[i]:ends[i]]
+            rng = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(int(i),)))
+            pick = rng.choice(len(mine), size=n_s, replace=False)
+            keep[mine] = False
+            keep[mine[pick]] = True
+    return np.flatnonzero(keep), sizes
 
 
 def co_neighbours(ds: MrDataset) -> list[set[int]]:
@@ -367,9 +366,12 @@ def load_csv(path, n_antennas: int, powers=None) -> tuple[MrDataset, LoadReport]
     """Load a record batch, enforcing the main-service invariant.
 
     Rows of a record are sorted by rank; a record is rejected when it has
-    duplicate antenna ids, out-of-range ids, non-finite values, or its first
-    entry is not the strongest (signal domain; for attenuation batches the
-    recording ``powers`` are required to reconstruct received strengths).
+    duplicate antenna ids, out-of-range ids, non-finite values, or entries
+    that do not fall in received strength by rank, ties allowed (signal
+    domain; for attenuation batches the recording ``powers`` are required
+    to reconstruct received strengths). The first entry is then the main
+    service antenna and every later one a weaker competitor, as
+    ``jacobian.estimate_jacobian`` reads them.
     A missing column, an unknown domain, a domain that differs from the
     first record's or a field that is not a number raises ``ConfigError``
     naming the line and the field.
@@ -415,7 +417,7 @@ def load_csv(path, n_antennas: int, powers=None) -> tuple[MrDataset, LoadReport]
             continue
         received = (vals if domain == "signal"
                     else [pvec[a - 1] - v for a, v in zip(aids, vals)])
-        if any(received[0] < s for s in received[1:]):
+        if any(a < b for a, b in zip(received, received[1:])):
             rejected += 1
             continue
         kept_records.append(MrRecord(tuple(zip(aids, vals))))

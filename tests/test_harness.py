@@ -167,6 +167,21 @@ class TestSpecs:
         (None, lambda d: d.update(bundle={"name": "proportional",
                                           "betas": [1.0, "x"]}),
          "bundle: betas [1.0, 'x'] is not a valid floats"),
+        (None, lambda d: d.update(bundle={"name": "proportional", "periods": 2,
+                                          "betas": [1.0]}),
+         "bundle: betas lists 1 period(s), periods is 2"),
+        (None, lambda d: d.update(bundle={"name": "proportional",
+                                          "betas": [1.0, float("nan")]}),
+         "bundle: betas must be finite and non-negative, got [1.0, nan]"),
+        (None, lambda d: d.update(bundle={"name": "proportional",
+                                          "betas": [1.0, -0.5]}),
+         "bundle: betas must be finite and non-negative, got [1.0, -0.5]"),
+        (None, lambda d: d.update(bundle={"name": "random", "nx": 0}),
+         "bundle: nx must be at least 1, got 0"),
+        (None, lambda d: d.update(bundle={"name": "random", "ny": -3}),
+         "bundle: ny must be at least 1, got -3"),
+        (None, lambda d: d.update(bundle={"name": "random", "n_hotspots": 0}),
+         "bundle: n_hotspots must be at least 1, got 0"),
     ], ids=["no-prb", "bad-prb", "no-weight", "bad-exponent", "bad-demand",
             "scalar-demand", "bad-neighbour", "bad-periods", "bad-seed",
             "bad-cfg-value", "cfg-not-an-object", "fractional-int",
@@ -175,7 +190,9 @@ class TestSpecs:
             "fractional-bundle-int", "bool-bundle-int", "negative-random-seed",
             "negative-tidal-seed", "negative-tidal-seed-2", "nan-exponent",
             "infinite-reference-loss", "nan-sigma", "infinite-sigma",
-            "int-output-dir", "string-beta"])
+            "int-output-dir", "string-beta", "betas-short-of-periods",
+            "nan-beta", "negative-beta", "zero-nx", "negative-ny",
+            "zero-hotspots"])
     def test_bad_block_field_named(self, block, edit, message):
         d = spec_to_dict(quick_spec())
         edit(d if block is None else d[block])
@@ -466,6 +483,18 @@ class TestCli:
             main(["run", str(spec_path), "--quiet", *flags])
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"breathenet: error: {want}\n"
+
+    def test_a_bad_bundle_shape_is_one_error_line(self, tmp_path, capsys):
+        from breathenet.cli import main
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(
+            {"bundle": {"name": "random", "nx": 0}, "algorithm": "bfdba"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(spec_path), "--quiet"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == \
+            "breathenet: error: bundle: nx must be at least 1, got 0\n"
 
     @pytest.mark.parametrize("block, flags", [
         (None, ["--seed", "-1"]), ("pathloss", []), ("scenario", [])],

@@ -1,6 +1,7 @@
 """Jacobian estimation from record batches and its structural checks."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from breathenet.jacobian import (
     support_graph,
 )
 from breathenet.model import AlgorithmConfig, Antenna, NetworkTopology
-from breathenet.mrdata import generate_mr
+from breathenet.mrdata import MrDataset, MrRecord, dataset_from_records, generate_mr
 from breathenet.synth import line_topology, random_bundle
 from breathenet.traffic import UserBatch, assign_users, sample_users
 
@@ -115,6 +116,26 @@ class TestEstimator:
         approx, f, f_bar = estimate_for(users, topo, p, cfg)
         oracle = finite_difference_matrix(users, topo, p, f_bar, cfg.epsilon)
         np.testing.assert_allclose(approx.matrix.toarray(), oracle, atol=1e-12)
+
+    def test_a_shift_that_only_ties_switches_by_id(self):
+        # eps * p = 4 dB at antennas 1 and 2, whose runners-up sit exactly
+        # 4 dB behind. A boosted competitor that only ties the best does not
+        # win, even where antenna 3's 5 dB shift would; lowered onto a tie,
+        # the serving antenna loses to a lower id only
+        topo = make_topo(3)
+        mr = dataset_from_records(
+            [MrRecord(((1, -70.0), (2, -74.0))), MrRecord(((2, -70.0), (1, -74.0))),
+             MrRecord(((3, -60.0), (1, -70.0)))],
+            "signal", 3)
+        p, f, f_bar = np.array([40.0, 40.0, 50.0]), np.full(3, 0.5), np.ones(3)
+        cfg = AlgorithmConfig(epsilon=0.1)
+        got = estimate_jacobian(mr, p, f, f_bar, topo, cfg).matrix.toarray()
+        dense, _, _ = per_antenna_estimate(mr, p, f, f_bar, topo, cfg, 0, False)
+        np.testing.assert_array_equal(got, dense)
+        # only antenna 2's record switches, and only down to antenna 1
+        assert got[0, 0] == 0.0 and got[1, 0] == 0.0
+        assert got[1, 1] > 0.0 and got[0, 1] < 0.0
+        assert not got[2].any() and not got[:, 2].any()
 
     def test_full_sample_budget_ignores_seed(self):
         topo = make_topo(3)
@@ -241,12 +262,19 @@ class TestGroupedEstimatorOracle:
     def test_idle_and_silent_antennas(self, case, diagonal_only):
         self.check(6, diagonal_only, case)
 
+    @pytest.mark.parametrize("diagonal_only", [False, True])
+    @pytest.mark.parametrize("case", ["mixed-width", "permuted"])
+    def test_hand_built_batches(self, case, diagonal_only):
+        self.check(6, diagonal_only, case)
+
     @staticmethod
     def check(top_m, diagonal_only, case):
         # antenna 5 serves more than n_s records, so it is subsampled;
         # antenna 6 serves nobody: 40 dB down, or ("silent") 2 dB under each
         # user's best so it still wins shifts; "idle" zeroes antenna 2's load
-        # while it keeps its records, so some cells compute to -0.0
+        # while it keeps its records, so some cells compute to -0.0;
+        # "mixed-width" cuts each record to 1..top_m entries, padding the
+        # rest, and "permuted" shuffles the records
         topo = make_topo(6, r=80)
         rng = np.random.default_rng(17)
         att = rng.uniform(60.0, 85.0, size=(500, 6))
@@ -262,6 +290,25 @@ class TestGroupedEstimatorOracle:
         f_bar = targets(f, topo, cfg.target_mode)
         if case == "idle":
             f[1] = 0.0
+        if case == "mixed-width":
+            widths = rng.integers(1, top_m + 1, size=len(mr))
+            mr = dataset_from_records(
+                [MrRecord(mr.record(k).entries[:w]) for k, w in enumerate(widths)],
+                "signal", 6, recorded_powers=p)
+            assert mr.top_m == top_m and (mr.ids == 0).any()
+        if case == "permuted":
+            whole = replace(cfg, n_s=len(mr))
+            with pytest.warns(UserWarning, match="without serving records"):
+                before = estimate_jacobian(mr, p, f, f_bar, topo, whole).matrix
+            order = rng.permutation(len(mr))
+            mr = MrDataset(mr.ids[order], mr.values[order], "signal", 6,
+                           recorded_powers=p)
+            # with every record sampled, record order cannot move a bit
+            with pytest.warns(UserWarning, match="without serving records"):
+                after = estimate_jacobian(mr, p, f, f_bar, topo, whole).matrix
+            for name in ("indptr", "indices", "data"):
+                assert getattr(after, name).tobytes() == \
+                    getattr(before, name).tobytes()
         with pytest.warns(UserWarning, match="without serving records"):
             got = estimate_jacobian(mr, p, f, f_bar, topo, cfg, seed=3,
                                     diagonal_only=diagonal_only)

@@ -478,7 +478,8 @@ class TestJacobianSampling:
 
     def test_groups_match_the_per_antenna_rule(self):
         # interleaved serving antennas, one without records: antenna i's
-        # rows are flatnonzero(serving == i), subsampled by its own stream
+        # rows are flatnonzero(serving == i), subsampled by its own stream,
+        # and every antenna's rows come back together in record order
         rng = np.random.default_rng(8)
         serving = rng.choice([1, 2, 4], size=300, p=[0.6, 0.1, 0.3])
         recs = [MrRecord(((int(i), -70.0),)) for i in serving]
@@ -495,7 +496,7 @@ class TestJacobianSampling:
                 pick.sort()
                 mine = mine[pick]
             expected.append(mine)
-        np.testing.assert_array_equal(rows, np.concatenate(expected))
+        np.testing.assert_array_equal(rows, np.sort(np.concatenate(expected)))
         np.testing.assert_array_equal(sizes, [len(e) for e in expected])
         assert sizes[0] == n_s < (serving == 1).sum()
         assert 0 < sizes[1] < n_s and sizes[2] == 0
@@ -597,6 +598,40 @@ class TestCsvRoundTrip:
         ds, report = load_csv(path, n_antennas=3)
         assert report.kept == 1 and report.rejected == 4
         assert records_as_tuples(ds) == [((1, -70.0),)]
+
+    def test_rejects_a_competitor_stronger_than_the_one_before(self, tmp_path):
+        # record 1's third entry beats its second: estimate_jacobian's
+        # down-shift reads column 1 as the strongest competitor and would
+        # miss the switch to antenna 3. Record 2's tie is kept
+        path = tmp_path / "mr.csv"
+        rows = [
+            "record_id,rank,antenna_id,value,domain",
+            "1,1,1,-70.0,signal",
+            "1,2,2,-75.0,signal",
+            "1,3,3,-72.0,signal",
+            "2,1,1,-70.0,signal",
+            "2,2,3,-72.0,signal",
+            "2,3,2,-72.0,signal",
+        ]
+        path.write_text("\n".join(rows) + "\n")
+        ds, report = load_csv(path, n_antennas=3)
+        assert report.kept == 1 and report.rejected == 1
+        assert records_as_tuples(ds) == [((1, -70.0), (3, -72.0), (2, -72.0))]
+
+    def test_attenuation_order_is_judged_on_received_strength(self, tmp_path):
+        # attenuations 10, 12, 10.5 at powers 30, 31, 30 receive 20, 19,
+        # 19.5: entry 3 beats entry 2; with antenna 3 at 29.5 dBm they fall
+        # to a tie
+        path = tmp_path / "mr.csv"
+        path.write_text("record_id,rank,antenna_id,value,domain\n"
+                        "1,1,1,10.0,attenuation\n"
+                        "1,2,2,12.0,attenuation\n"
+                        "1,3,3,10.5,attenuation\n")
+        with pytest.warns(UserWarning, match="no valid records"):
+            _, report = load_csv(path, n_antennas=3, powers=[30.0, 31.0, 30.0])
+        assert report.kept == 0 and report.rejected == 1
+        _, report = load_csv(path, n_antennas=3, powers=[30.0, 31.0, 29.5])
+        assert report.kept == 1 and report.rejected == 0
 
     def test_attenuation_batch_needs_powers(self, tmp_path):
         path = tmp_path / "mr.csv"
