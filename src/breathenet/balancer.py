@@ -81,11 +81,10 @@ def bdba_solve(approx: JacobianApprox, d: np.ndarray,
     if n == 1:
         return np.zeros(1), {"singular_values": [], "residual": float(abs(d[0])),
                              "method": "trivial"}
-    csr = approx.matrix.tocsr()
-    if ((np.diff(csr.indptr) == 0).sum() >= 2
-            or (np.bincount(csr.indices, minlength=n) == 0).sum() >= 2):
+    if ((np.diff(approx.indptr) == 0).sum() >= 2
+            or (np.bincount(approx.indices, minlength=n) == 0).sum() >= 2):
         raise SingularJacobian(approx)
-    a = csr.toarray()
+    a = approx.toarray()
     basis = _zero_sum_basis(n)
     u_svd, sigma, vt = np.linalg.svd(a @ basis, full_matrices=False)
     sigma_max = sigma[0] if len(sigma) else 0.0
@@ -115,7 +114,7 @@ def bfdba_solve(approx: JacobianApprox, d: np.ndarray, powers: np.ndarray,
     powers = np.asarray(powers, dtype=float)
     if d.shape != (n,) or powers.shape != (n,):
         raise ValueError("d and powers must have one entry per antenna")
-    diag = approx.matrix.diagonal()
+    diag = approx.diagonal()
     bad = np.flatnonzero(diag <= 0)
     if len(bad):
         return np.zeros(n), {"method": "hold", "degenerate": (bad + 1).tolist()}

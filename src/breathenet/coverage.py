@@ -187,12 +187,10 @@ def min_power_search(powers: np.ndarray, topo: NetworkTopology, evaluator,
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of a non-positive argument never overflows: 1 / (1 + e^-z) for
+    # z >= 0 and e^z / (1 + e^z) below, without masked copies
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass

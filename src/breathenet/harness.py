@@ -6,7 +6,6 @@ charts/*.svg)."""
 from __future__ import annotations
 
 import csv
-import importlib.metadata
 import inspect
 import json
 import os
@@ -17,7 +16,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
 from .balancer import DENSE_LIMIT, BalanceStep, SingularJacobian, bdba_solve, bfdba_solve, save_steps_jsonl, step
 from .busy import BusyState, busy_degrees, disagreement, targets
@@ -350,6 +348,11 @@ def _series_from_rows(rows) -> MetricsSeries:
 
 
 def _versions() -> dict:
+    # imported here: the run itself needs neither
+    import importlib.metadata
+
+    import scipy
+
     try:
         own = importlib.metadata.version("breathenet")
     except importlib.metadata.PackageNotFoundError:

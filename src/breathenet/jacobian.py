@@ -10,11 +10,12 @@ row sums near zero.
 
 from __future__ import annotations
 
+import functools
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import AlgorithmConfig, NetworkTopology
 from .mrdata import MrDataset, sample_for_jacobian
@@ -24,29 +25,86 @@ from .mrdata import MrDataset, sample_for_jacobian
 class JacobianApprox:
     """Normalized Jacobian estimate A~ with A~_ij ~ (df_i/dp_j) / f_bar_i.
 
-    ``matrix`` is sparse n x n, per-dB. ``sample_sizes`` holds the per-antenna
-    record counts actually used; ``empty_rows`` the antennas that had no
-    serving records (their rows are structurally zero).
+    The n x n estimate, per-dB, is held as CSR arrays: row i stores its
+    columns ``indices[indptr[i]:indptr[i + 1]]``, ascending, with values
+    ``data`` at the same positions. They are the arrays scipy's
+    ``csr_matrix`` holds for the same entries, index dtype included.
+    ``sample_sizes`` holds the per-antenna record counts actually used;
+    ``empty_rows`` the antennas that had no serving records (their rows are
+    structurally zero).
     """
 
-    matrix: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     sample_sizes: np.ndarray
     empty_rows: tuple[int, ...]
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.indptr) - 1
+
+    def toarray(self) -> np.ndarray:
+        """The dense n x n estimate."""
+        n = self.n
+        out = np.zeros(n * n)
+        starts = np.repeat(np.arange(n) * n, np.diff(self.indptr))
+        out[starts + self.indices] = self.data
+        return out.reshape(n, n)
+
+    def diagonal(self) -> np.ndarray:
+        """A~_ii for every i, 0.0 where the cell is not stored."""
+        rows = np.repeat(np.arange(self.n, dtype=self.indices.dtype),
+                         np.diff(self.indptr))
+        on = np.flatnonzero(rows == self.indices)
+        out = np.zeros(self.n)
+        out[rows[on]] = self.data[on]
+        return out
+
+    @functools.cached_property
+    def matrix(self):
+        """The estimate as a scipy ``csr_matrix`` over the same arrays.
+        scipy.sparse is imported here, on first use, so that the balancing
+        loop, which reads only the arrays, never loads it."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((self.data, self.indices, self.indptr),
+                             shape=(self.n, self.n))
+
+
+def _csr_arrays(keys: np.ndarray, data: np.ndarray,
+                n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, data) of the entries at ascending, distinct flat
+    cells ``keys`` = row * n + col, with scipy's index dtype: int32 unless
+    n or the entry count needs int64."""
+    idx = np.int32 if max(len(keys), n) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return indptr.astype(idx), (keys % n).astype(idx), data
 
 
 def approx_from_matrix(matrix) -> JacobianApprox:
-    """Wrap an explicit matrix (dense or sparse) for the solvers; handy for
-    analytic cases where no record batch exists."""
-    m = sp.csr_matrix(np.asarray(matrix, dtype=float)) if not sp.issparse(matrix) \
-        else matrix.tocsr()
-    if m.shape[0] != m.shape[1]:
+    """Wrap an explicit matrix for the solvers; handy for analytic cases
+    where no record batch exists. A dense matrix keeps its nonzero cells, as
+    scipy's ``csr_matrix`` would. A scipy sparse matrix keeps its stored
+    entries, zeros too, with duplicates summed."""
+    sparse = sys.modules.get("scipy.sparse")
+    if sparse is not None and sparse.issparse(matrix):
+        # only a caller that already holds scipy can pass one
+        coo = matrix.tocoo(copy=True)
+        coo.sum_duplicates()  # sorts the entries by (row, col)
+        shape = coo.shape
+        keys = coo.row.astype(np.int64) * shape[-1] + coo.col
+        data = coo.data.astype(float)
+    else:
+        a = np.asarray(matrix, dtype=float)
+        shape = a.shape
+        keys = np.flatnonzero(a)  # row-major, so ascending (row, col)
+        data = a.ravel()[keys]
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError("matrix must be square")
-    return JacobianApprox(matrix=m, sample_sizes=np.zeros(m.shape[0], dtype=int),
-                          empty_rows=())
+    n = shape[0]
+    return JacobianApprox(*_csr_arrays(keys, data, n),
+                          sample_sizes=np.zeros(n, dtype=int), empty_rows=())
 
 
 def estimate_jacobian(ds: MrDataset, powers: np.ndarray, f: np.ndarray,
@@ -73,13 +131,14 @@ def estimate_jacobian(ds: MrDataset, powers: np.ndarray, f: np.ndarray,
 
     and A~_ij = (df_i/dp_j) / f_bar_i. Antennas without serving records yield
     zero rows and a warning. With ``diagonal_only`` the off-diagonal entries
-    are not assembled (the counting pass is shared). The sparse matrix is
+    are not assembled (the counting pass is shared). The CSR arrays are
     built from the (i, j, count) switch triplets alone, in
     O(records * top_m + n) memory; no n x n array is formed.
 
-    Every record must list its entries by falling received strength (ties
-    allowed), padding last, as ``generate_mr`` records them and ``load_csv``
-    enforces: the down-shift reads column 1 as the strongest competitor,
+    Every record must list its entries by falling received strength, tied
+    entries by ascending id, padding last, as ``generate_mr`` records them
+    and ``load_csv`` enforces: the down-shift reads column 1 as the
+    strongest competitor, the first of any tied with it,
     and the up-shift stops reading a record at the first column that even
     the largest shift cannot lift above column 0.
     """
@@ -173,10 +232,12 @@ def estimate_jacobian(ds: MrDataset, powers: np.ndarray, f: np.ndarray,
         cells = np.concatenate([cells, off])
         values = np.concatenate([values, -total / span[col] / f_bar[row]])
     keep = values != 0  # drops 0.0 and -0.0 cells, as a dense scan would
-    matrix = sp.csr_matrix((values[keep], np.divmod(cells[keep], n)),
-                           shape=(n, n))
-    return JacobianApprox(matrix=matrix, sample_sizes=sample_sizes,
-                          empty_rows=empty)
+    cells, values = cells[keep], values[keep]
+    # the diagonal cells and the off-diagonal ones are each ascending: a
+    # stable sort merges the two runs
+    order = np.argsort(cells, kind="stable")
+    return JacobianApprox(*_csr_arrays(cells[order], values[order], n),
+                          sample_sizes=sample_sizes, empty_rows=empty)
 
 
 @dataclass(frozen=True)
@@ -225,7 +286,7 @@ def laplacian_check(approx: JacobianApprox, f_bar: np.ndarray) -> LaplacianRepor
     non-negative diagonal, non-positive off-diagonal, zero row sums, and a
     single vanishing singular value when the support is strongly connected."""
     n = approx.n
-    unnorm = approx.matrix.toarray() * np.asarray(f_bar, dtype=float)[:, None]
+    unnorm = approx.toarray() * np.asarray(f_bar, dtype=float)[:, None]
     diag = np.diag(unnorm)
     off = unnorm.copy()
     np.fill_diagonal(off, 0.0)

@@ -140,6 +140,9 @@ class Antenna:
     def __post_init__(self):
         if self.id < 1:
             raise ConfigError(f"antenna ids start at 1, got {self.id}")
+        if not math.isfinite(self.p_max):
+            raise ConfigError(f"antenna {self.id}: rated maximum {self.p_max} "
+                              "dBm must be finite")
         # the Jacobian estimator perturbs the pilot by a relative epsilon and
         # divides by 2 * epsilon * p
         if not self.p > 0:
@@ -235,6 +238,10 @@ class AlgorithmConfig:
     svd_cutoff: float = 0.05
 
     def __post_init__(self):
+        for name in ("epsilon", "tau", "delta_p", "r_c", "over_busy_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.epsilon:
             raise ConfigError("epsilon must be positive")
         if not 0 < self.gamma <= 1:

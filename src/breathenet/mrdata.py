@@ -367,10 +367,11 @@ def load_csv(path, n_antennas: int, powers=None) -> tuple[MrDataset, LoadReport]
 
     Rows of a record are sorted by rank; a record is rejected when it has
     duplicate antenna ids, out-of-range ids, non-finite values, or entries
-    that do not fall in received strength by rank, ties allowed (signal
-    domain; for attenuation batches the recording ``powers`` are required
-    to reconstruct received strengths). The first entry is then the main
-    service antenna and every later one a weaker competitor, as
+    that do not fall in received strength by rank (signal domain; for
+    attenuation batches the recording ``powers`` are required to reconstruct
+    received strengths). Tied entries must list ascending antenna ids. The
+    first entry is then the main service antenna and every later one a
+    weaker competitor, or a tied one with a higher id, as
     ``jacobian.estimate_jacobian`` reads them.
     A missing column, an unknown domain, a domain that differs from the
     first record's or a field that is not a number raises ``ConfigError``
@@ -417,7 +418,10 @@ def load_csv(path, n_antennas: int, powers=None) -> tuple[MrDataset, LoadReport]
             continue
         received = (vals if domain == "signal"
                     else [pvec[a - 1] - v for a, v in zip(aids, vals)])
-        if any(a < b for a, b in zip(received, received[1:])):
+        # strength falls along the record; tied entries list ascending ids,
+        # as strongest-pilot assignment breaks a tie to the lower id
+        if any(a < b or (a == b and i > j) for a, b, i, j
+               in zip(received, received[1:], aids, aids[1:])):
             rejected += 1
             continue
         kept_records.append(MrRecord(tuple(zip(aids, vals))))

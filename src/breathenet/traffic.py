@@ -67,12 +67,15 @@ class Hotspot:
     truncate: float | None = None
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ConfigError("hotspot weight must be non-negative")
-        if self.spread <= 0:
-            raise ConfigError("hotspot spread must be positive")
-        if self.truncate is not None and self.truncate <= 0:
-            raise ConfigError("truncation radius must be positive")
+        if not self.weight >= 0:
+            raise ConfigError(
+                f"hotspot weight must be non-negative, got {self.weight}")
+        if not 0 < self.spread < math.inf:
+            raise ConfigError(
+                f"hotspot spread must be positive and finite, got {self.spread}")
+        if self.truncate is not None and not 0 < self.truncate < math.inf:
+            raise ConfigError("hotspot truncate must be positive and finite, "
+                              f"got {self.truncate}")
 
 
 @dataclass(frozen=True)
@@ -433,9 +436,11 @@ def scenario_from_dict(d: dict) -> TrafficScenario:
                 weight=config_field(h, "weight", float, where),
                 spread=config_field(h, "spread", float, where),
                 truncate=config_field(h, "truncate", float, where, None)))
-        periods.append(PeriodSpec(
-            total_users=config_field(p, "total_users", int, f"period {k}"),
-            hotspots=tuple(hotspots)))
+        users = config_field(p, "total_users", int, f"period {k}")
+        if users < 1:
+            raise ConfigError(
+                f"period {k}: total_users must be at least 1, got {users}")
+        periods.append(PeriodSpec(total_users=users, hotspots=tuple(hotspots)))
     return TrafficScenario(
         periods=tuple(periods),
         seed=config_field(d, "seed", int, "scenario", 0),

@@ -2,10 +2,16 @@
 property suite and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import breathenet
 from breathenet.balancer import DENSE_LIMIT
 from breathenet.coverage import InfeasibleCoverage
 from breathenet.harness import (
@@ -182,6 +188,22 @@ class TestSpecs:
          "bundle: ny must be at least 1, got -3"),
         (None, lambda d: d.update(bundle={"name": "random", "n_hotspots": 0}),
          "bundle: n_hotspots must be at least 1, got 0"),
+        ("scenario", lambda s: s["periods"][0]["hotspots"][0].update(
+            weight=float("nan")), "hotspot weight must be non-negative, got nan"),
+        ("scenario", lambda s: s["periods"][0]["hotspots"][0].update(
+            spread=float("nan")),
+         "hotspot spread must be positive and finite, got nan"),
+        ("scenario", lambda s: s["periods"][0]["hotspots"][0].update(
+            truncate=float("nan")),
+         "hotspot truncate must be positive and finite, got nan"),
+        ("scenario", lambda s: s["periods"][0]["hotspots"][0].update(
+            truncate=float("inf")),
+         "hotspot truncate must be positive and finite, got inf"),
+        ("topology", lambda t: t["antennas"][1]["p_max"].update(
+            value=float("inf")),
+         "antenna 2: rated maximum inf dBm must be finite"),
+        ("scenario", lambda s: s["periods"][1].update(total_users=0),
+         "period 2: total_users must be at least 1, got 0"),
     ], ids=["no-prb", "bad-prb", "no-weight", "bad-exponent", "bad-demand",
             "scalar-demand", "bad-neighbour", "bad-periods", "bad-seed",
             "bad-cfg-value", "cfg-not-an-object", "fractional-int",
@@ -192,7 +214,8 @@ class TestSpecs:
             "infinite-reference-loss", "nan-sigma", "infinite-sigma",
             "int-output-dir", "string-beta", "betas-short-of-periods",
             "nan-beta", "negative-beta", "zero-nx", "negative-ny",
-            "zero-hotspots"])
+            "zero-hotspots", "nan-weight", "nan-spread", "nan-truncate",
+            "infinite-truncate", "infinite-p-max", "zero-users"])
     def test_bad_block_field_named(self, block, edit, message):
         d = spec_to_dict(quick_spec())
         edit(d if block is None else d[block])
@@ -264,6 +287,33 @@ class TestRunExperiment:
         for s1, s2 in zip(r1.steps, r2.steps):
             np.testing.assert_array_equal(s1.u, s2.u)
             np.testing.assert_array_equal(s1.p_next, s2.p_next)
+
+    def test_a_run_loads_no_scipy_sparse(self, tmp_path):
+        # the import, one bdba period (dense SVD solve) and one bfdba period,
+        # results written, in a fresh interpreter
+        specs = [spec_to_dict(quick_spec(algorithm=a, periods=1))
+                 for a in ("bdba", "bfdba")]
+        script = textwrap.dedent("""
+            import json, sys
+            import breathenet
+            from breathenet.harness import spec_from_dict
+            loaded = ["scipy.sparse" in sys.modules]
+            for k, d in enumerate(json.loads(sys.argv[1])):
+                r = breathenet.run_experiment(spec_from_dict(d),
+                                              output_dir=f"{sys.argv[2]}/{k}")
+                assert [(s.algorithm, s.fallback) for s in r.steps] == \\
+                    [(d["algorithm"], False)]
+                loaded.append("scipy.sparse" in sys.modules)
+            print(json.dumps(loaded))
+            """)
+        src = Path(breathenet.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(specs), str(tmp_path)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [False, False, False]
+        assert (tmp_path / "1" / "manifest.json").is_file()
 
     def test_static_baseline_never_moves_powers(self):
         spec = quick_spec(algorithm="none")
@@ -483,6 +533,24 @@ class TestCli:
             main(["run", str(spec_path), "--quiet", *flags])
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"breathenet: error: {want}\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["epsilon", "tau", "delta_p", "r_c",
+                                       "over_busy_threshold"])
+    def test_a_non_finite_cfg_value_is_one_error_line(self, tmp_path, capsys,
+                                                      field, value):
+        from breathenet.cli import main
+
+        spec_path = self.write_spec(tmp_path)
+        spec = json.loads(spec_path.read_text())
+        spec["cfg"][field] = value
+        spec_path.write_text(json.dumps(spec))  # NaN and Infinity tokens
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(spec_path), "--quiet"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == \
+            f"breathenet: error: {field} must be finite, got {value}\n"
 
     def test_a_bad_bundle_shape_is_one_error_line(self, tmp_path, capsys):
         from breathenet.cli import main

@@ -1,11 +1,14 @@
 """Jacobian estimation from record batches and its structural checks."""
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from breathenet.busy import busy_degrees, targets
 from breathenet.jacobian import (
@@ -331,6 +334,87 @@ class TestGroupedEstimatorOracle:
         np.testing.assert_allclose(m.data[on], ref.data[on], rtol=1e-12, atol=0)
         assert np.array_equal(got.sample_sizes, sizes)
         assert got.empty_rows == empty
+
+
+def assert_scipy_arrays(approx, ref):
+    """approx's CSR arrays, and those behind its ``matrix``, are ``ref``'s
+    byte for byte, index dtype included."""
+    for name in ("indptr", "indices", "data"):
+        want = getattr(ref, name)
+        for got in (getattr(approx, name), getattr(approx.matrix, name)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def square_matrices(draw):
+    """Dense n x n with empty rows and columns, -0.0 cells and (as a scipy
+    matrix) stored zeros."""
+    n = draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.where(rng.random((n, n)) < draw(st.sampled_from([0.1, 0.5, 1.0])),
+                 rng.normal(size=(n, n)), 0.0)
+    a[rng.random((n, n)) < 0.15] = -0.0
+    a[rng.choice(n, size=min(n, draw(st.integers(0, 2))), replace=False)] = 0.0
+    a[:, rng.choice(n, size=min(n, draw(st.integers(0, 2))), replace=False)] = 0.0
+    stored = rng.random((n, n)) < 0.3
+    return a, stored
+
+
+@st.composite
+def estimate_inputs(draw):
+    """A small signal batch with ties, silent antennas, idle antennas and
+    sample caps below the serving counts."""
+    n = draw(st.integers(1, 7))
+    users = draw(st.integers(1, 300))
+    top_m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    att = rng.uniform(60.0, 85.0, size=(users, n))
+    if draw(st.booleans()):
+        att = np.round(att)  # whole dB: ties among listed entries
+    silent = rng.random(n) < 0.2
+    att[:, silent] += 60.0
+    p = rng.uniform(38.0, 42.0, size=n)
+    batch = batch_from_attenuation(att, rng.integers(1, 4, size=users))
+    return (make_topo(n), batch, p, top_m, draw(st.sampled_from([users, 60, 7])),
+            rng.random(n) < 0.2, draw(st.booleans()), draw(st.integers(0, 9)))
+
+
+class TestCsrArrays:
+    @settings(max_examples=150, deadline=None)
+    @given(square_matrices())
+    def test_matrix_arrays_are_scipys(self, case):
+        a, stored = case
+        approx = approx_from_matrix(a)
+        assert approx.n == len(a)
+        assert_scipy_arrays(approx, sp.csr_matrix(a))
+        assert np.array_equal(approx.toarray(), a)
+        assert np.array_equal(approx.diagonal(), np.diag(a))
+        # stored zeros stay entries of a sparse input
+        rows, cols = np.nonzero(stored | (a != 0))
+        coo = sp.coo_matrix((a[rows, cols], (rows, cols)), shape=a.shape)
+        approx = approx_from_matrix(coo)
+        assert_scipy_arrays(approx, coo.tocsr())
+        assert np.array_equal(approx.toarray(), a)
+        assert np.array_equal(approx.diagonal(), np.diag(a))
+
+    @settings(max_examples=60, deadline=None)
+    @given(estimate_inputs())
+    def test_estimate_arrays_are_scipys(self, case):
+        topo, users, p, top_m, n_s, idle, diagonal_only, seed = case
+        cfg = AlgorithmConfig(epsilon=0.1, n_s=n_s, top_m=top_m)
+        mr = generate_mr(users, p, top_m)
+        f = busy_degrees(mr.serving(), users, topo)
+        f_bar = targets(f, topo, cfg.target_mode)
+        f[idle] = 0.0  # idle rows give -0.0 cells, which are not stored
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            approx = estimate_jacobian(mr, p, f, f_bar, topo, cfg, seed=seed,
+                                       diagonal_only=diagonal_only)
+        dense = approx.toarray()
+        # a dense scan stores every nonzero cell, in (row, col) order
+        assert_scipy_arrays(approx, sp.csr_matrix(dense))
+        assert np.array_equal(approx.diagonal(), np.diag(dense))
 
 
 class TestSupportGraph:

@@ -610,13 +610,41 @@ class TestCsvRoundTrip:
             "1,2,2,-75.0,signal",
             "1,3,3,-72.0,signal",
             "2,1,1,-70.0,signal",
-            "2,2,3,-72.0,signal",
-            "2,3,2,-72.0,signal",
+            "2,2,2,-72.0,signal",
+            "2,3,3,-72.0,signal",
         ]
         path.write_text("\n".join(rows) + "\n")
         ds, report = load_csv(path, n_antennas=3)
         assert report.kept == 1 and report.rejected == 1
-        assert records_as_tuples(ds) == [((1, -70.0), (3, -72.0), (2, -72.0))]
+        assert records_as_tuples(ds) == [((1, -70.0), (2, -72.0), (3, -72.0))]
+
+    def test_rejects_a_tie_listed_by_falling_id(self, tmp_path):
+        # strongest-pilot assignment gives a tie to the lower id, so
+        # lowering antenna 1 switches this user to antenna 2; the
+        # down-shift would credit antenna 3, the first competitor listed
+        path = tmp_path / "mr.csv"
+        path.write_text("record_id,rank,antenna_id,value,domain\n"
+                        "1,1,1,-70.0,signal\n"
+                        "1,2,3,-72.0,signal\n"
+                        "1,3,2,-72.0,signal\n")
+        with pytest.warns(UserWarning, match="no valid records"):
+            _, report = load_csv(path, n_antennas=3)
+        assert report.kept == 0 and report.rejected == 1
+        users = batch_from_attenuation([[110.0, 112.0, 112.0]])
+        assert assign_users(users, np.array([40.0 - 4.0, 40.0, 40.0]))[0] == 2
+
+    def test_generated_ties_load_back_whole(self, tmp_path):
+        # whole-dB attenuations at equal powers tie often; generate_mr lists
+        # every tie by ascending id, so no record is rejected
+        rng = np.random.default_rng(12)
+        users = batch_from_attenuation(rng.integers(60, 64, size=(300, 4)))
+        ds = generate_mr(users, np.full(4, 40.0), top_m=4)
+        assert (ds.values[:, 1:] == ds.values[:, :-1]).any()
+        path = tmp_path / "mr.csv"
+        save_csv(ds, path)
+        loaded, report = load_csv(path, n_antennas=4)
+        assert report.kept == 300 and report.rejected == 0
+        np.testing.assert_array_equal(loaded.ids, ds.ids)
 
     def test_attenuation_order_is_judged_on_received_strength(self, tmp_path):
         # attenuations 10, 12, 10.5 at powers 30, 31, 30 receive 20, 19,

@@ -5,6 +5,7 @@ import pytest
 
 from breathenet.coverage import (
     MonotoneMlp,
+    _sigmoid,
     default_hidden_sizes,
     load_surrogate,
     save_surrogate,
@@ -24,6 +25,30 @@ def fit_kinked(n=1500, epochs=1500, seed=0):
     mlp = train_surrogate(x, y, epochs=epochs, seed=seed,
                           input_min=np.zeros(2), input_max=np.ones(2))
     return mlp, x, y
+
+
+def masked_sigmoid(z):
+    """The two-branch form: 1 / (1 + e^-z) where z >= 0, e^z / (1 + e^z)
+    elsewhere, each on its own masked copy."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("width", [20, 10, 5])
+def test_sigmoid_equals_the_masked_form(width):
+    rng = np.random.default_rng(width)
+    z = rng.normal(0.0, 20.0, size=(4000, width))
+    z.flat[:8] = [0.0, -0.0, np.inf, -np.inf, np.nan, 750.0, -750.0, 1e-300]
+    got = _sigmoid(z)
+    assert np.array_equal(got, masked_sigmoid(z), equal_nan=True)
+    # off NaN, bit for bit: -0.0 gives 0.5 and +-inf give 1 and 0
+    finite = ~np.isnan(z)
+    assert got[finite].tobytes() == masked_sigmoid(z)[finite].tobytes()
+    assert got.flat[1] == 0.5 and got.flat[2] == 1.0 and got.flat[3] == 0.0
 
 
 class TestTraining:
