@@ -20,23 +20,16 @@ from .coverage import (
     ExactNeighbourhoodEvaluator,
     InfeasibleCoverage,
     MonotoneMlp,
-    SurrogateNeighbourhoodEvaluator,
     build_fail_graph,
     exact_coverage,
-    load_surrogate,
     min_power_search,
-    save_surrogate,
-    surrogate_coverage,
-    train_neighbourhood_surrogates,
     train_surrogate,
 )
 from .harness import (
     ExperimentResult,
     ExperimentSpec,
     MetricsSeries,
-    PropertyCheck,
     compare_runs,
-    property_suite,
     run_experiment,
     write_results,
 )

@@ -1,8 +1,6 @@
 """Command-line entry point.
 
-Subcommands: run an experiment spec, compare two results directories,
-execute the property suite, and train the monotone coverage surrogates
-from a measurement-report batch.
+Subcommands: run an experiment spec, and compare two results directories.
 """
 
 from __future__ import annotations
@@ -13,16 +11,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .coverage import save_surrogate_set, train_neighbourhood_surrogates
-from .harness import (
-    MetricsSeries,
-    compare_runs,
-    property_suite,
-    run_experiment,
-    spec_from_dict,
-)
-from .model import AlgorithmConfig, ConfigError, topology_from_json
-from .mrdata import load_csv, remove_redundant
+from .harness import MetricsSeries, compare_runs, run_experiment, spec_from_dict
+from .model import AlgorithmConfig, ConfigError
 
 
 def _add_cfg_flags(parser: argparse.ArgumentParser) -> None:
@@ -36,16 +26,16 @@ def _load_spec(path: str, args) -> "ExperimentSpec":
     with open(path) as fh:
         raw = json.load(fh)
     overrides = {f.name: getattr(args, f.name) for f in fields(AlgorithmConfig)
-                 if getattr(args, f.name, None) is not None}
+                 if getattr(args, f.name) is not None}
     if overrides and isinstance(raw.get("cfg", {}), dict):
         raw["cfg"] = {**raw.get("cfg", {}), **overrides}
-    if getattr(args, "algorithm", None):
+    if args.algorithm:
         raw["algorithm"] = args.algorithm
-    if getattr(args, "periods", None) is not None:
+    if args.periods is not None:
         raw["periods"] = args.periods
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         raw["seed"] = args.seed
-    if getattr(args, "output", None):
+    if args.output:
         raw["output_dir"] = args.output
     return spec_from_dict(raw)
 
@@ -85,41 +75,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_properties(args) -> int:
-    bundle = cfg = None
-    if args.spec:
-        spec = _load_spec(args.spec, args)
-        from .synth import ScenarioBundle
-
-        bundle = ScenarioBundle(spec.topo, spec.pathloss, spec.scenario)
-        cfg = spec.cfg
-    checks = property_suite(bundle, cfg, quick=args.quick)
-    failed = 0
-    for c in checks:
-        mark = "PASS" if c.passed else "FAIL"
-        failed += not c.passed
-        print(f"{mark}  {c.name}: {c.detail}")
-    print(f"{len(checks) - failed}/{len(checks)} checks passed")
-    return 1 if failed else 0
-
-
-def _cmd_train_coverage(args) -> int:
-    topo = topology_from_json(args.topology)
-    ds, report = load_csv(args.batch, topo.n, powers=topo.initial_powers())
-    if report.rejected:
-        print(f"rejected {report.rejected} malformed records", file=sys.stderr)
-    ds = remove_redundant(ds)
-    evaluator = train_neighbourhood_surrogates(
-        ds, topo, r_c=args.r_c, n_samples=args.samples, span=args.span,
-        epochs=args.epochs, lr=args.lr, seed=args.seed)
-    save_surrogate_set(evaluator, args.output)
-    worst = max(mlp.training_mse for mlp in evaluator.mlps.values())
-    print(f"trained {len(evaluator.mlps)} per-antenna nets on {len(ds)} "
-          f"records; worst training MSE {worst:.3e}")
-    print(f"surrogates written to {args.output}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="breathenet",
@@ -144,30 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("dir_a")
     p_cmp.add_argument("dir_b")
     p_cmp.set_defaults(handler=_cmd_compare)
-
-    p_prop = sub.add_parser("properties",
-                            help="run the invariant property suite")
-    p_prop.add_argument("spec", nargs="?", default=None,
-                        help="optional scenario spec; defaults to built-ins")
-    p_prop.add_argument("--quick", action="store_true")
-    _add_cfg_flags(p_prop)
-    p_prop.set_defaults(handler=_cmd_properties)
-
-    p_train = sub.add_parser("train-coverage",
-                             help="fit monotone coverage surrogates from "
-                                  "a measurement-report CSV")
-    p_train.add_argument("batch", help="measurement-report CSV")
-    p_train.add_argument("--topology", required=True,
-                         help="topology JSON (antennas + neighbours)")
-    p_train.add_argument("--output", "-o", required=True,
-                         help="directory for the trained surrogate set")
-    p_train.add_argument("--r-c", dest="r_c", type=float, default=-90.0)
-    p_train.add_argument("--samples", type=int, default=300)
-    p_train.add_argument("--span", type=float, default=10.0)
-    p_train.add_argument("--epochs", type=int, default=3000)
-    p_train.add_argument("--lr", type=float, default=0.02)
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.set_defaults(handler=_cmd_train_coverage)
     return parser
 
 

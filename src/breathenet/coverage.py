@@ -6,17 +6,17 @@ a <= p_i - r_c, i.e. its received pilot clears the threshold r_c. Because
 attenuation is power-independent, one batch answers coverage queries for any
 hypothetical power vector, which is what the minimum-power search exploits.
 
-The monotone surrogate is an offline artifact (``breathenet train-coverage``):
-a small fully-connected net whose effective weights are squares of the stored
-parameters, making the output provably non-decreasing in every input power.
+The monotone surrogate is a small fully-connected net whose effective
+weights are squares of the stored parameters, making the output provably
+non-decreasing in every input power. The loop never uses it: it prices
+coverage with the exact kernel, and the surrogate is kept for acceptance
+criterion c09, which fits it to exact-kernel labels.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -200,8 +200,7 @@ class MonotoneMlp:
     Effective weights are the squares of the stored parameters ``omegas`` and
     hidden activations are logistic, so every path from input to output is a
     composition of non-decreasing maps. Inputs are powers normalized with the
-    training bounds; the raw network output is linear (clip to [0, 1] happens
-    in ``surrogate_coverage``).
+    training bounds; the network output is linear and is not clipped.
     """
 
     omegas: list[np.ndarray]
@@ -209,7 +208,6 @@ class MonotoneMlp:
     input_min: np.ndarray
     input_max: np.ndarray
     training_mse: float
-    seed: int
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -235,11 +233,6 @@ class MonotoneMlp:
         if (x01 < 0).any() or (x01 > 1).any():
             warnings.warn("surrogate queried outside its training power box")
         return self.forward01(x01)
-
-
-def surrogate_coverage(mlp: MonotoneMlp, powers: np.ndarray) -> np.ndarray:
-    """Surrogate neighbourhood rate(s), clipped to [0, 1]."""
-    return np.clip(mlp.predict(powers), 0.0, 1.0)
 
 
 def default_hidden_sizes(d: int) -> tuple[int, int, int]:
@@ -345,135 +338,7 @@ def train_surrogate(x: np.ndarray, y: np.ndarray,
             pg[:] = g
 
     mlp = MonotoneMlp(omegas=omegas, biases=biases, input_min=lo, input_max=hi,
-                      training_mse=0.0, seed=seed)
+                      training_mse=0.0)
     # recorded MSE belongs to the returned parameters, not the epoch before
     mlp.training_mse = float(np.mean((mlp.forward01(x01) - y) ** 2))
     return mlp
-
-
-def save_surrogate(mlp: MonotoneMlp, path) -> None:
-    """Flat binary layout, little-endian: [L, sizes(L)] as int64, then the
-    normalization bounds and per layer the row-major pre-square weights and
-    biases as float64. A JSON manifest alongside records MSE and seed."""
-    path = str(path)
-    sizes = np.asarray(mlp.sizes, dtype="<i8")
-    with open(path, "wb") as fh:
-        np.asarray([len(sizes)], dtype="<i8").tofile(fh)
-        sizes.tofile(fh)
-        mlp.input_min.astype("<f8").tofile(fh)
-        mlp.input_max.astype("<f8").tofile(fh)
-        for w, b in zip(mlp.omegas, mlp.biases):
-            np.ascontiguousarray(w, dtype="<f8").tofile(fh)
-            np.ascontiguousarray(b, dtype="<f8").tofile(fh)
-    with open(path + ".manifest.json", "w") as fh:
-        json.dump({"training_mse": mlp.training_mse, "seed": mlp.seed,
-                   "sizes": [int(s) for s in mlp.sizes]}, fh, indent=2)
-
-
-def load_surrogate(path) -> MonotoneMlp:
-    path = str(path)
-    with open(path, "rb") as fh:
-        (n_sizes,) = np.fromfile(fh, dtype="<i8", count=1)
-        sizes = np.fromfile(fh, dtype="<i8", count=int(n_sizes))
-        d = int(sizes[0])
-        lo = np.fromfile(fh, dtype="<f8", count=d)
-        hi = np.fromfile(fh, dtype="<f8", count=d)
-        omegas, biases = [], []
-        for layer in range(len(sizes) - 1):
-            rows, cols = int(sizes[layer + 1]), int(sizes[layer])
-            omegas.append(np.fromfile(fh, dtype="<f8", count=rows * cols)
-                          .reshape(rows, cols))
-            biases.append(np.fromfile(fh, dtype="<f8", count=rows))
-    with open(path + ".manifest.json") as fh:
-        manifest = json.load(fh)
-    return MonotoneMlp(omegas=omegas, biases=biases, input_min=lo, input_max=hi,
-                       training_mse=float(manifest["training_mse"]),
-                       seed=int(manifest["seed"]))
-
-
-class SurrogateNeighbourhoodEvaluator:
-    """Drop-in for ExactNeighbourhoodEvaluator backed by per-antenna nets."""
-
-    def __init__(self, mlps: dict[int, MonotoneMlp],
-                 members: dict[int, list[int]], n: int,
-                 neighbours: list[set[int]]):
-        self.mlps = mlps
-        self.members = members
-        self.n = n
-        self.neighbours = neighbours
-
-    def rates(self, powers: np.ndarray) -> np.ndarray:
-        powers = np.asarray(powers, dtype=float)
-        out = np.ones(self.n)
-        for i, mlp in self.mlps.items():
-            x = powers[np.asarray(self.members[i]) - 1]
-            out[i - 1] = surrogate_coverage(mlp, x)[0]
-        return out
-
-
-def train_neighbourhood_surrogates(ds: MrDataset, topo: NetworkTopology,
-                                   r_c: float, n_samples: int = 300,
-                                   span: float = 10.0, epochs: int = 3000,
-                                   lr: float = 0.02, seed: int = 0
-                                   ) -> SurrogateNeighbourhoodEvaluator:
-    """Train one monotone net per antenna on exact neighbourhood rates.
-
-    Sample power vectors are drawn uniformly in [p_max - span, p_max] per
-    member; labels come from the exact evaluator on ``ds``. The nets carry
-    an absolute error around sqrt(training MSE), so searches driven by them
-    need coverage margins comfortably above that; knife-edge requirements
-    belong to the exact evaluator.
-    """
-    exact = ExactNeighbourhoodEvaluator(ds, r_c)
-    p_max = topo.p_max_vector()
-    rng = np.random.default_rng(seed)
-    base = np.empty((n_samples, topo.n))
-    for col in range(topo.n):
-        base[:, col] = rng.uniform(p_max[col] - span, p_max[col], size=n_samples)
-    labels = np.empty((n_samples, topo.n))
-    for s in range(n_samples):
-        labels[s] = exact.rates(base[s])
-    mlps: dict[int, MonotoneMlp] = {}
-    members: dict[int, list[int]] = {}
-    for i in range(1, topo.n + 1):
-        mem = sorted({i} | exact.neighbours[i - 1])
-        members[i] = mem
-        cols = np.asarray(mem) - 1
-        mlps[i] = train_surrogate(base[:, cols], labels[:, i - 1],
-                                  epochs=epochs, lr=lr, seed=seed + i,
-                                  input_min=p_max[cols] - span,
-                                  input_max=p_max[cols])
-    return SurrogateNeighbourhoodEvaluator(mlps, members, topo.n, exact.neighbours)
-
-
-def save_surrogate_set(evaluator: SurrogateNeighbourhoodEvaluator,
-                       dirpath) -> None:
-    """Persist a whole per-antenna surrogate family: one binary net per
-    antenna plus an index with membership and neighbour lists."""
-    out = Path(dirpath)
-    out.mkdir(parents=True, exist_ok=True)
-    files = {}
-    for i, mlp in sorted(evaluator.mlps.items()):
-        name = f"antenna_{i:04d}.mlp.bin"
-        save_surrogate(mlp, out / name)
-        files[str(i)] = name
-    index = {
-        "n": evaluator.n,
-        "members": {str(i): list(map(int, m)) for i, m in evaluator.members.items()},
-        "neighbours": [sorted(map(int, s)) for s in evaluator.neighbours],
-        "files": files,
-    }
-    with open(out / "index.json", "w") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-
-
-def load_surrogate_set(dirpath) -> SurrogateNeighbourhoodEvaluator:
-    src = Path(dirpath)
-    with open(src / "index.json") as fh:
-        index = json.load(fh)
-    mlps = {int(i): load_surrogate(src / name)
-            for i, name in index["files"].items()}
-    members = {int(i): list(map(int, m)) for i, m in index["members"].items()}
-    neighbours = [set(s) for s in index["neighbours"]]
-    return SurrogateNeighbourhoodEvaluator(mlps, members, int(index["n"]),
-                                           neighbours)

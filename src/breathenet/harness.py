@@ -1,7 +1,6 @@
 """Experiment orchestration: multi-period runs under {none, bdba, bfdba},
-per-period balance metrics, run comparison, the invariant property suite,
-and the on-disk results layout (metrics.csv, steps.jsonl, manifest.json,
-charts/*.svg)."""
+per-period balance metrics, run comparison, and the on-disk results layout
+(metrics.csv, steps.jsonl, manifest.json, charts/*.svg)."""
 
 from __future__ import annotations
 
@@ -10,17 +9,15 @@ import inspect
 import json
 import os
 import platform
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from .balancer import DENSE_LIMIT, BalanceStep, SingularJacobian, bdba_solve, bfdba_solve, save_steps_jsonl, step
+from .balancer import DENSE_LIMIT, BalanceStep, save_steps_jsonl, step
 from .busy import BusyState, busy_degrees, disagreement, targets
 from .coverage import ExactNeighbourhoodEvaluator, exact_coverage
-from .jacobian import approx_from_matrix, estimate_jacobian, laplacian_check, support_graph
 from .model import AlgorithmConfig, ConfigError, NetworkTopology, config_field, floats, topology_from_dict, topology_to_dict
 from .mrdata import generate_mr, remove_redundant, subsample, to_attenuation
 from .synth import (
@@ -492,199 +489,3 @@ def compare_runs(a: MetricsSeries, b: MetricsSeries) -> dict:
         "mean_d_inf": block(float(a.d_inf.mean()), float(b.d_inf.mean())),
         "min_coverage": {"a": a.min_coverage, "b": b.min_coverage},
     }
-
-
-class PropertyCheck(NamedTuple):
-    name: str
-    passed: bool
-    detail: str
-
-
-def _quiet_run(spec: ExperimentSpec) -> ExperimentResult:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return run_experiment(spec)
-
-
-def _check_laplacian(quick: bool = False) -> PropertyCheck:
-    """Estimator structure on fresh scenarios at recording powers.
-
-    Uses a narrow perturbation (the one-sided counts only agree as the
-    shift band narrows) and scenarios large enough that every antenna fills
-    its n_s sampling budget, so the residual reflects the estimator rather
-    than small-sample noise.
-    """
-    cfg = AlgorithmConfig(epsilon=0.02, n_s=5000, r_c=-120.0)
-    worst = 0.0
-    violations = 0
-    sigma_ok = True
-    for s in range(2 if quick else 10):
-        topo, pathloss, scenario = random_bundle(
-            periods=1, total_users=100000, seed=100 + s, background=0.5)
-        p = topo.initial_powers()
-        users = sample_users(scenario, pathloss, topo, 1)
-        mr = generate_mr(users, p, cfg.top_m)
-        # recorded at p: the serving antennas are the strongest-pilot
-        # assignment, so the matrix is never formed
-        f = busy_degrees(mr.serving(), users, topo)
-        f_bar = targets(f, topo, cfg.target_mode)
-        approx = estimate_jacobian(mr, p, f, f_bar, topo, cfg, seed=s)
-        rep = laplacian_check(approx, f_bar)
-        sg = support_graph(approx)
-        worst = max(worst, rep.max_relative_residual)
-        violations += rep.sign_violations
-        if sg.strongly_connected and rep.second_smallest_singular_value <= 0:
-            sigma_ok = False
-    ok = violations == 0 and worst <= 0.05 and sigma_ok
-    detail = (f"sign_violations={violations}, "
-              f"max_row_residual={worst:.4f} (limit 0.05), "
-              f"sigma2_positive_under_connectivity={sigma_ok}")
-    return PropertyCheck("laplacian-structure", ok, detail)
-
-
-def _check_zero_sum(bundle: ScenarioBundle, cfg: AlgorithmConfig,
-                    periods: int, seed: int) -> PropertyCheck:
-    spec = ExperimentSpec(*bundle, cfg=cfg, algorithm="bdba", periods=periods,
-                          seed=seed)
-    result = _quiet_run(spec)
-    worst = 0.0
-    checked = 0
-    for rec in result.steps:
-        if rec.fallback or rec.held:
-            continue
-        checked += 1
-        norm = np.abs(rec.u).sum()
-        if norm > 0:
-            worst = max(worst, abs(rec.u.sum()) / norm)
-    ok = checked > 0 and worst <= 1e-9
-    return PropertyCheck(
-        "zero-sum-adjustment", ok,
-        f"max |sum u| / ||u||_1 = {worst:.3e} over {checked} steps (limit 1e-9)")
-
-
-def _check_pseudoinverse() -> PropertyCheck:
-    approx = approx_from_matrix([[1.0, -1.0], [-1.0, 1.0]])
-    u, _ = bdba_solve(approx, np.array([0.2, -0.2]))
-    err = float(np.abs(u - np.array([0.1, -0.1])).max())
-    return PropertyCheck("pseudoinverse-analytic", err <= 1e-12,
-                         f"|u - (0.1, -0.1)|_inf = {err:.3e} (limit 1e-12)")
-
-
-def _check_fast_fixed_point() -> PropertyCheck:
-    diag = np.array([0.8, 1.2, 1.0])
-    approx = approx_from_matrix(np.diag(diag))
-    p = np.array([43.0, 40.0, 41.0])
-    tau = 0.001
-    d = tau * p  # the disagreement exactly at the fast balancer's fixed point
-    u, _ = bfdba_solve(approx, d, p, tau)
-    err = float(np.abs(u).max())
-    return PropertyCheck("fast-balancer-fixed-point", err <= 1e-12,
-                         f"|u|_inf at the fixed point = {err:.3e} (limit 1e-12)")
-
-
-def _check_singular_fallback(quick: bool, cfg: AlgorithmConfig) -> PropertyCheck:
-    bundle = two_island_bundle(total_users=2500 if quick else 4000, seed=17)
-    topo, pathloss, scenario = bundle
-    p = topo.initial_powers()
-    users = sample_users(scenario, pathloss, topo, 1)
-    mr = generate_mr(users, p, cfg.top_m)
-    f = busy_degrees(mr.serving(), users, topo)
-    f_bar = targets(f, topo, cfg.target_mode)
-    approx = estimate_jacobian(mr, p, f, f_bar, topo, cfg, seed=5)
-    sg = support_graph(approx)
-    raised = False
-    try:
-        bdba_solve(approx, disagreement(f, f_bar))
-    except SingularJacobian as exc:
-        raised = len(exc.components) >= 2
-    spec = ExperimentSpec(*bundle, cfg=cfg, algorithm="bdba", periods=1, seed=17)
-    result = _quiet_run(spec)
-    fell_back = bool(result.steps and result.steps[0].fallback)
-    ok = (not sg.strongly_connected) and raised and fell_back
-    return PropertyCheck(
-        "designed-singular-fallback", ok,
-        f"strongly_connected={sg.strongly_connected}, solver_raised={raised}, "
-        f"step_fell_back={fell_back}")
-
-
-def _check_consensus(quick: bool, seed: int) -> PropertyCheck:
-    periods = 12 if quick else 50
-    users = 25000 if quick else 100000
-    bundle = proportional_bundle(periods=periods, total_users=users, seed=seed)
-    cfg = AlgorithmConfig(gamma=0.5, r_c=-120.0, f_con=0.999,
-                          n_s=1500 if quick else 5000,
-                          coverage_sample=1500 if quick else 4000)
-    spec = ExperimentSpec(*bundle, cfg=cfg, algorithm="bdba", periods=periods,
-                          seed=seed)
-    result = _quiet_run(spec)
-    d0 = float(result.metrics.d_inf[0])
-    dT = float(result.metrics.d_inf[-1])
-    ok = dT <= (0.2 if quick else 0.05) and dT < d0
-    return PropertyCheck(
-        "consensus-proportional", ok,
-        f"d_inf fell {d0:.3f} -> {dT:.3f} over {periods} steps "
-        f"(limit {'0.2 quick' if quick else '0.05'})")
-
-
-def _check_reproducibility(bundle: ScenarioBundle, cfg: AlgorithmConfig,
-                           periods: int, seed: int) -> PropertyCheck:
-    spec = ExperimentSpec(*bundle, cfg=cfg, algorithm="bdba",
-                          periods=periods, seed=seed)
-    r1 = _quiet_run(spec)
-    r2 = _quiet_run(spec)
-    same = all(np.array_equal(getattr(r1.metrics, c), getattr(r2.metrics, c))
-               for c in _METRIC_COLUMNS if c != "step_seconds")
-    same = same and all(np.array_equal(s1.p_next, s2.p_next)
-                        and np.array_equal(s1.u, s2.u)
-                        for s1, s2 in zip(r1.steps, r2.steps))
-    same = same and all(np.array_equal(b1.f, b2.f)
-                        for b1, b2 in zip(r1.busy, r2.busy))
-    return PropertyCheck(
-        "reproducibility", same,
-        "two identical runs matched exactly (timing excluded)" if same
-        else "re-run diverged from the first run")
-
-
-def _check_baseline_neutral(bundle: ScenarioBundle, cfg: AlgorithmConfig,
-                            periods: int, seed: int) -> PropertyCheck:
-    spec = ExperimentSpec(*bundle, cfg=cfg, algorithm="none",
-                          periods=periods, seed=seed)
-    result = _quiet_run(spec)
-    held = np.array_equal(result.final_powers, bundle.topo.initial_powers())
-    ok = held and not result.steps and float(result.metrics.step_seconds.max(
-        initial=0.0)) == 0.0
-    return PropertyCheck(
-        "baseline-neutrality", ok,
-        "powers untouched and no adjustment records" if ok
-        else f"powers_held={held}, steps={len(result.steps)}")
-
-
-def property_suite(bundle: ScenarioBundle | None = None,
-                   cfg: AlgorithmConfig | None = None,
-                   quick: bool = False) -> list[PropertyCheck]:
-    """Execute the named invariant checks and return their ledger.
-
-    The supplied bundle feeds the structural checks; the consensus and
-    designed-failure checks always build their dedicated scenarios. quick
-    trims user counts and step counts for test-suite latency.
-    """
-    soak = 3 if quick else 10
-    if bundle is None:
-        bundle = random_bundle(periods=soak, total_users=8000 if quick else 30000,
-                               seed=11)
-    if cfg is None:
-        cfg = AlgorithmConfig(gamma=0.5, r_c=-120.0,
-                              n_s=1500 if quick else 5000,
-                              coverage_sample=1500 if quick else 4000)
-    soak = min(soak, bundle.scenario.horizon)
-    checks = [
-        _check_laplacian(quick),
-        _check_zero_sum(bundle, cfg, periods=soak, seed=23),
-        _check_pseudoinverse(),
-        _check_fast_fixed_point(),
-        _check_singular_fallback(quick, cfg),
-        _check_consensus(quick, seed=29),
-        _check_reproducibility(bundle, cfg, periods=min(2, soak), seed=31),
-        _check_baseline_neutral(bundle, cfg, periods=min(2, soak), seed=37),
-    ]
-    return checks

@@ -140,21 +140,21 @@ class Antenna:
     def __post_init__(self):
         if self.id < 1:
             raise ConfigError(f"antenna ids start at 1, got {self.id}")
+        # messages name the spec fields: power (p), p_max and prb (r)
         if not math.isfinite(self.p_max):
-            raise ConfigError(f"antenna {self.id}: rated maximum {self.p_max} "
-                              "dBm must be finite")
+            raise ConfigError(f"antenna {self.id}: p_max {self.p_max} dBm "
+                              "must be finite")
         # the Jacobian estimator perturbs the pilot by a relative epsilon and
         # divides by 2 * epsilon * p
         if not self.p > 0:
-            raise ConfigError(f"antenna {self.id}: pilot power {self.p} dBm "
+            raise ConfigError(f"antenna {self.id}: power {self.p} dBm "
                               "must be positive")
         if not self.p <= self.p_max:
-            raise ConfigError(
-                f"antenna {self.id}: pilot power {self.p} dBm above rated "
-                f"maximum {self.p_max} dBm")
+            raise ConfigError(f"antenna {self.id}: power {self.p} dBm above "
+                              f"p_max {self.p_max} dBm")
         if int(self.r) != self.r or self.r < 1:
-            raise ConfigError(f"antenna {self.id}: PRB capacity must be a "
-                              f"positive integer, got {self.r}")
+            raise ConfigError(f"antenna {self.id}: prb must be a positive "
+                              f"integer, got {self.r}")
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,8 @@ class PathlossModel:
         if self.exponent < 2.0:
             raise ConfigError(f"pathloss exponent must be >= 2, got {self.exponent}")
         if self.shadowing_sigma < 0:
-            raise ConfigError("shadowing sigma must be non-negative")
+            raise ConfigError("pathloss shadowing_sigma must be non-negative, "
+                              f"got {self.shadowing_sigma}")
         if self.seed < 0:
             raise ConfigError(f"pathloss seed must be non-negative, got {self.seed}")
 

@@ -1,5 +1,5 @@
-"""Coverage evaluation, the failing-antenna graph, the minimum-power search
-and the per-antenna surrogate family."""
+"""Coverage evaluation, the failing-antenna graph and the minimum-power
+search."""
 
 import numpy as np
 import pytest
@@ -12,10 +12,7 @@ from breathenet.coverage import (
     build_fail_graph,
     covered,
     exact_coverage,
-    load_surrogate_set,
     min_power_search,
-    save_surrogate_set,
-    train_neighbourhood_surrogates,
 )
 from breathenet.model import Antenna, NetworkTopology
 from breathenet.mrdata import MrRecord, dataset_from_records, remove_redundant
@@ -383,44 +380,3 @@ class TestMinPowerSearch:
             return
         assert (got >= start).all() and (got <= p_max).all()
         assert (evaluator.rates(got) >= f_con).all()
-
-
-class TestSurrogateFamily:
-    def family(self):
-        rng = np.random.default_rng(56)
-        ds = random_dataset(rng, 500, 3, lo=60.0, hi=90.0)
-        topo = make_topo(3, p=43.0, p_max=49.0)
-        fam = train_neighbourhood_surrogates(ds, topo, r_c=-40.0,
-                                             n_samples=200, span=8.0,
-                                             epochs=600, seed=2)
-        return ds, topo, fam
-
-    def test_members_cover_co_listed_antennas(self):
-        ds = att_dataset([[(1, 60.0), (3, 70.0)], [(2, 65.0)]], 3)
-        fam = train_neighbourhood_surrogates(ds, make_topo(3), r_c=-45.0,
-                                             n_samples=100, epochs=5)
-        assert fam.members == {1: [1, 3], 2: [2], 3: [1, 3]}
-        assert fam.neighbours[0] == {3}
-
-    def test_tracks_the_exact_rates(self):
-        ds, topo, fam = self.family()
-        exact = ExactNeighbourhoodEvaluator(ds, r_c=-40.0)
-        rng = np.random.default_rng(57)
-        worst = 0.0
-        for _ in range(20):
-            p = rng.uniform(41.0, 49.0, size=3)
-            worst = max(worst, float(np.abs(fam.rates(p) - exact.rates(p)).max()))
-        assert worst <= 0.1
-
-    def test_save_load_round_trip(self, tmp_path):
-        ds, topo, fam = self.family()
-        save_surrogate_set(fam, tmp_path / "fam")
-        again = load_surrogate_set(tmp_path / "fam")
-        assert again.members == fam.members
-        assert again.neighbours == fam.neighbours
-        p = np.array([44.0, 46.0, 43.0])
-        np.testing.assert_array_equal(again.rates(p), fam.rates(p))
-        for i, mlp in fam.mlps.items():
-            for w1, w2 in zip(mlp.omegas, again.mlps[i].omegas):
-                np.testing.assert_array_equal(w1, w2)
-            assert again.mlps[i].training_mse == mlp.training_mse

@@ -58,7 +58,7 @@ class TestAntennaValidation:
 
     @pytest.mark.parametrize("p", [0.0, -3.0, float("nan")])
     def test_pilot_must_be_positive_dbm(self, p):
-        with pytest.raises(ConfigError, match="antenna 7: pilot power"):
+        with pytest.raises(ConfigError, match="antenna 7: power "):
             Antenna(id=7, p=p, p_max=49.0, r=100)
 
     def test_prb_must_be_positive_integer(self):
