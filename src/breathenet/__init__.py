@@ -52,16 +52,13 @@ from .model import (
     watts_to_dbm,
 )
 from .mrdata import (
-    LoadReport,
     MrDataset,
     MrRecord,
     co_neighbours,
     dataset_from_records,
     generate_mr,
-    load_csv,
     remove_redundant,
     sample_for_jacobian,
-    save_csv,
     subsample,
     to_attenuation,
 )

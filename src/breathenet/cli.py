@@ -23,8 +23,15 @@ def _add_cfg_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_spec(path: str, args) -> "ExperimentSpec":
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read spec ({exc.strerror})") from None
+    except ValueError as exc:  # bad JSON, or bytes that are not text
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: the spec's top level is not a JSON object")
     overrides = {f.name: getattr(args, f.name) for f in fields(AlgorithmConfig)
                  if getattr(args, f.name) is not None}
     if overrides and isinstance(raw.get("cfg", {}), dict):

@@ -18,7 +18,7 @@ import numpy as np
 from .balancer import DENSE_LIMIT, BalanceStep, save_steps_jsonl, step
 from .busy import BusyState, busy_degrees, disagreement, targets
 from .coverage import ExactNeighbourhoodEvaluator, exact_coverage
-from .model import AlgorithmConfig, ConfigError, NetworkTopology, config_field, floats, topology_from_dict, topology_to_dict
+from .model import AlgorithmConfig, ConfigError, NetworkTopology, check_keys, config_field, floats, topology_from_dict, topology_to_dict
 from .mrdata import generate_mr, remove_redundant, subsample, to_attenuation
 from .synth import (
     ScenarioBundle,
@@ -87,10 +87,13 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
 
     Either a 'bundle' block ({"name": ..., **kwargs} naming a built-in
     generator) or explicit 'topology' + 'scenario' (+ optional 'pathloss')
-    blocks describe the world; 'cfg' holds AlgorithmConfig overrides.
+    blocks describe the world; 'cfg' holds AlgorithmConfig overrides. A key
+    that no block knows raises a ConfigError naming the block and the key.
     """
+    check_keys(d, ("bundle", "topology", "scenario", "pathloss", "cfg",
+                   "algorithm", "periods", "seed", "output_dir"), "spec")
     if "bundle" in d:
-        block = dict(d["bundle"])
+        block = config_field(d, "bundle", dict, "spec")
         if "name" not in block:
             raise ConfigError("the bundle block is missing its 'name'")
         name = block.pop("name")

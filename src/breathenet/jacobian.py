@@ -136,11 +136,10 @@ def estimate_jacobian(ds: MrDataset, powers: np.ndarray, f: np.ndarray,
     O(records * top_m + n) memory; no n x n array is formed.
 
     Every record must list its entries by falling received strength, tied
-    entries by ascending id, padding last, as ``generate_mr`` records them
-    and ``load_csv`` enforces: the down-shift reads column 1 as the
-    strongest competitor, the first of any tied with it,
-    and the up-shift stops reading a record at the first column that even
-    the largest shift cannot lift above column 0.
+    entries by ascending id, padding last, as ``generate_mr`` records them:
+    the down-shift reads column 1 as the strongest competitor, the first of
+    any tied with it, and the up-shift stops reading a record at the first
+    column that even the largest shift cannot lift above column 0.
     """
     if ds.domain != "signal":
         raise ValueError("jacobian estimation needs signal-domain records")

@@ -42,6 +42,18 @@ def config_field(block: dict, key: str, kind, where: str, default=_REQUIRED):
                           f"{kind.__name__}") from None
 
 
+def check_keys(block, keys, where: str) -> None:
+    """Check that ``block`` is an object whose keys all lie in ``keys``, so
+    that a misspelt key is never silently ignored; a ConfigError names
+    ``where`` and the keys it does not know."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where}: {block!r} is not an object")
+    unknown = sorted(set(block) - set(keys))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {unknown}; "
+                          f"known keys: {sorted(keys)}")
+
+
 def strict_int(value) -> int:
     """An int from a whole, finite number. A bool, a string, or a number
     with a fraction or no finite value raises TypeError or ValueError
@@ -69,12 +81,6 @@ def strict_str(value) -> str:
 
 
 _STRICT = {int: strict_int, float: strict_float, str: strict_str}
-
-
-def integer(text: str) -> int:
-    """An int from the text of a CSV field, where ``config_field``'s
-    ``int`` takes only a number."""
-    return int(text)
 
 
 def point(xy) -> tuple[float, float]:
@@ -277,12 +283,11 @@ class AlgorithmConfig:
 
 
 def topology_from_dict(d: dict) -> NetworkTopology:
-    try:
-        raw_antennas = d["antennas"]
-    except KeyError as exc:
-        raise ConfigError("topology dict needs an 'antennas' list") from exc
+    check_keys(d, ("antennas", "neighbours"), "topology")
     antennas = []
-    for k, a in enumerate(raw_antennas, start=1):
+    for k, a in enumerate(config_field(d, "antennas", list, "topology"), start=1):
+        check_keys(a, ("id", "power", "p_max", "prb", "position"),
+                   f"antenna #{k}")
         where = f"antenna {a.get('id', f'#{k}')}"
         antennas.append(Antenna(
             id=config_field(a, "id", int, where),
@@ -293,7 +298,7 @@ def topology_from_dict(d: dict) -> NetworkTopology:
         ))
     antennas.sort(key=lambda a: a.id)
     n = len(antennas)
-    raw_neigh = d.get("neighbours", {})
+    raw_neigh = config_field(d, "neighbours", dict, "topology", {})
     neighbours = [config_field(raw_neigh, str(i), antenna_ids, "neighbours",
                                frozenset()) for i in range(1, n + 1)]
     topo = NetworkTopology(tuple(antennas), tuple(neighbours))

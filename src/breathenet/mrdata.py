@@ -1,5 +1,6 @@
 """Measurement-report batches: generation from simulated users, the switch
-from received signal to attenuation, redundancy deletion and CSV persistence.
+from received signal to attenuation, redundancy deletion, and the record
+samples of the Jacobian estimate and the coverage pipeline.
 
 A record lists the ``top_m`` strongest antennas for one user, strongest first,
 so the first entry is the main service antenna. Batches are stored as padded
@@ -9,14 +10,11 @@ received strength (dBm) or attenuation (dB) with NaN padding.
 
 from __future__ import annotations
 
-import csv
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .model import ConfigError, config_field, integer
 from .traffic import BLOCK_ELEMENTS, UserBatch
 
 _PAD_SENTINEL = np.iinfo(np.int32).max
@@ -335,101 +333,6 @@ def co_neighbours(ds: MrDataset) -> list[set[int]]:
     adj |= adj.T
     np.fill_diagonal(adj, False)
     return [set(np.flatnonzero(row).tolist()) for row in adj[1:]]
-
-
-@dataclass(frozen=True)
-class LoadReport:
-    kept: int
-    rejected: int
-
-
-_CSV_COLUMNS = ("record_id", "rank", "antenna_id", "value", "domain")
-
-
-def save_csv(ds: MrDataset, path) -> None:
-    """Persist as (record_id, rank, antenna_id, value, domain) rows."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_CSV_COLUMNS)
-        mask = ds.entry_mask()
-        for row in range(len(ds)):
-            rank = 1
-            for col in range(ds.top_m):
-                if not mask[row, col]:
-                    continue
-                w.writerow([row + 1, rank, int(ds.ids[row, col]),
-                            repr(float(ds.values[row, col])), ds.domain])
-                rank += 1
-
-
-def load_csv(path, n_antennas: int, powers=None) -> tuple[MrDataset, LoadReport]:
-    """Load a record batch, enforcing the main-service invariant.
-
-    Rows of a record are sorted by rank; a record is rejected when it has
-    duplicate antenna ids, out-of-range ids, non-finite values, or entries
-    that do not fall in received strength by rank (signal domain; for
-    attenuation batches the recording ``powers`` are required to reconstruct
-    received strengths). Tied entries must list ascending antenna ids. The
-    first entry is then the main service antenna and every later one a
-    weaker competitor, or a tied one with a higher id, as
-    ``jacobian.estimate_jacobian`` reads them.
-    A missing column, an unknown domain, a domain that differs from the
-    first record's or a field that is not a number raises ``ConfigError``
-    naming the line and the field.
-    """
-    by_record: dict[int, list[tuple[int, int, float]]] = {}
-    domain = None
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in _CSV_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ConfigError(f"{path}: line 1: missing column(s) {missing}")
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            dom = row["domain"]
-            if dom not in ("signal", "attenuation"):
-                raise ConfigError(f"{where}: unknown domain {dom!r}")
-            if domain is None:
-                domain = dom
-            elif domain != dom:
-                raise ConfigError(f"{where}: domain {dom!r} in a batch of "
-                                  f"{domain!r} records")
-            rid = config_field(row, "record_id", integer, where)
-            by_record.setdefault(rid, []).append(
-                (config_field(row, "rank", integer, where),
-                 config_field(row, "antenna_id", integer, where),
-                 config_field(row, "value", float, where)))
-    if domain is None:
-        domain = "signal"
-    if domain == "attenuation" and powers is None:
-        raise ValueError("attenuation batches need the recording power vector")
-    pvec = None if powers is None else np.asarray(powers, dtype=float)
-
-    kept_records = []
-    rejected = 0
-    for rid in sorted(by_record):
-        entries = sorted(by_record[rid])
-        aids = [aid for _, aid, _ in entries]
-        vals = [val for _, _, val in entries]
-        if (len(set(aids)) != len(aids)
-                or any(not 1 <= a <= n_antennas for a in aids)
-                or any(not np.isfinite(v) for v in vals)):
-            rejected += 1
-            continue
-        received = (vals if domain == "signal"
-                    else [pvec[a - 1] - v for a, v in zip(aids, vals)])
-        # strength falls along the record; tied entries list ascending ids,
-        # as strongest-pilot assignment breaks a tie to the lower id
-        if any(a < b or (a == b and i > j) for a, b, i, j
-               in zip(received, received[1:], aids, aids[1:])):
-            rejected += 1
-            continue
-        kept_records.append(MrRecord(tuple(zip(aids, vals))))
-    if not kept_records:
-        warnings.warn("loaded batch has no valid records")
-    ds = dataset_from_records(kept_records, domain, n_antennas,
-                              recorded_powers=pvec)
-    return ds, LoadReport(kept=len(kept_records), rejected=rejected)
 
 
 def subsample(ds: MrDataset, cap: int, seed: int = 0) -> MrDataset:

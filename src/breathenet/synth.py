@@ -1,5 +1,6 @@
-"""Synthetic topology and scenario builders used by tests, the property
-suite and the CLI demo. Every builder is deterministic for a fixed seed."""
+"""Synthetic topology and scenario builders behind the spec's ``bundle``
+block, the demo config, the benchmark and the tests. Every builder is
+deterministic for a fixed seed."""
 
 from __future__ import annotations
 
@@ -115,7 +116,7 @@ def proportional_bundle(periods: int = 60, total_users: int = 100000,
         betas = np.ones(periods)
     specs = tuple(PeriodSpec(total_users=int(round(total_users * b)), hotspots=spots)
                   for b in betas)
-    scenario = TrafficScenario(specs, seed=seed + 1, mode="proportional", freeze_at=1)
+    scenario = TrafficScenario(specs, seed=seed + 1, mode="proportional")
     return ScenarioBundle(topo, PathlossModel(seed=seed + 2), scenario)
 
 

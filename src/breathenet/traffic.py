@@ -11,7 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ConfigError, NetworkTopology, config_field, int_pair, point
+from .model import (ConfigError, NetworkTopology, check_keys, config_field,
+                    int_pair, point)
 
 # Elements per scratch buffer of the row-blocked U x n kernels (1 MiB of
 # float64): large enough that per-block overhead vanishes, small enough that
@@ -99,7 +100,7 @@ class TrafficScenario:
     """Fully expanded per-period traffic description.
 
     ``mode`` is 'free' (arbitrary per-period geometry) or 'proportional'
-    (hotspot geometry frozen from period ``freeze_at`` on; only the user count
+    (every period has period 1's hotspot geometry; only the user count
     scales, which is the regime where the consensus result applies).
     ``demand`` gives the inclusive integer PRB-demand range per user.
     """
@@ -107,7 +108,6 @@ class TrafficScenario:
     periods: tuple[PeriodSpec, ...]
     seed: int = 0
     mode: str = "free"
-    freeze_at: int | None = None
     demand: tuple[int, int] = (1, 1)
 
     def __post_init__(self):
@@ -121,11 +121,8 @@ class TrafficScenario:
         if lo < 1 or hi < lo:
             raise ConfigError(f"bad demand range {self.demand}")
         if self.mode == "proportional":
-            k_star = self.freeze_at if self.freeze_at is not None else 1
-            if not 1 <= k_star <= len(self.periods):
-                raise ConfigError(f"freeze_at {k_star} outside scenario horizon")
-            frozen = self.periods[k_star - 1].hotspots
-            for k in range(k_star, len(self.periods)):
+            frozen = self.periods[0].hotspots
+            for k in range(1, len(self.periods)):
                 if self.periods[k].hotspots != frozen:
                     raise ConfigError(
                         f"proportional mode: hotspot geometry changes at period {k + 1}")
@@ -323,9 +320,9 @@ def sample_users(scenario: TrafficScenario, model: PathlossModel,
 
     Deterministic given (scenario.seed, model.seed, k): hotspot membership,
     positions and demands come from the scenario stream, shadowing from the
-    pathloss stream, both split per period. In proportional mode the frozen
-    period's draw is reused verbatim and only thinned or tiled to the period's
-    user count, so the relative density is exactly constant across periods.
+    pathloss stream, both split per period. In proportional mode period 1's
+    draw is reused verbatim and only thinned or tiled to the period's user
+    count, so the relative density is exactly constant across periods.
 
     The batch holds the recipe of its attenuation matrix, not the matrix:
     ``generate_mr`` ranks the matrix block by block as it is computed.
@@ -335,13 +332,8 @@ def sample_users(scenario: TrafficScenario, model: PathlossModel,
     if k > scenario.horizon:
         raise ValueError(f"period {k} beyond scenario horizon {scenario.horizon}")
     spec = scenario.periods[k - 1]
-    k_eff = k
-    if scenario.mode == "proportional":
-        k_star = scenario.freeze_at if scenario.freeze_at is not None else 1
-        if k >= k_star:
-            k_eff = k_star
-    if k_eff != k:
-        base = sample_users(scenario, model, topo, k_eff)
+    if scenario.mode == "proportional" and k > 1:
+        base = sample_users(scenario, model, topo, 1)
         return _rescale_population(base, spec.total_users, scenario.seed, k)
     rng = np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(k,)))
 
@@ -426,12 +418,15 @@ def assign_users(users: UserBatch, powers: np.ndarray) -> np.ndarray:
 
 
 def scenario_from_dict(d: dict) -> TrafficScenario:
+    check_keys(d, ("periods", "seed", "mode", "demand"), "scenario")
     periods = []
     for k, p in enumerate(config_field(d, "periods", list, "scenario"), start=1):
+        check_keys(p, ("total_users", "hotspots"), f"period {k}")
         hotspots = []
         for j, h in enumerate(config_field(p, "hotspots", list, f"period {k}"),
                               start=1):
             where = f"period {k}, hotspot {j}"
+            check_keys(h, ("center", "weight", "spread", "truncate"), where)
             hotspots.append(Hotspot(
                 center=config_field(h, "center", point, where),
                 weight=config_field(h, "weight", float, where),
@@ -446,13 +441,12 @@ def scenario_from_dict(d: dict) -> TrafficScenario:
         periods=tuple(periods),
         seed=config_field(d, "seed", int, "scenario", 0),
         mode=d.get("mode", "free"),
-        freeze_at=config_field(d, "freeze_at", int, "scenario", None),
         demand=config_field(d, "demand", int_pair, "scenario", (1, 1)),
     )
 
 
 def scenario_to_dict(s: TrafficScenario) -> dict:
-    out = {
+    return {
         "mode": s.mode,
         "seed": s.seed,
         "demand": list(s.demand),
@@ -467,12 +461,11 @@ def scenario_to_dict(s: TrafficScenario) -> dict:
             for p in s.periods
         ],
     }
-    if s.freeze_at is not None:
-        out["freeze_at"] = s.freeze_at
-    return out
 
 
 def pathloss_from_dict(d: dict) -> PathlossModel:
+    check_keys(d, ("exponent", "reference_loss", "shadowing_sigma", "seed"),
+               "pathloss")
     return PathlossModel(
         exponent=config_field(d, "exponent", float, "pathloss", 3.5),
         reference_loss=config_field(d, "reference_loss", float, "pathloss", 32.0),

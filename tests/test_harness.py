@@ -112,6 +112,26 @@ class TestSpecs:
         with pytest.raises(ConfigError, match="gama"):
             AlgorithmConfig().with_overrides(gama=0.5)
 
+    @pytest.mark.parametrize("block, where, key", [
+        (lambda d: d, "spec", "peroids"),
+        (lambda d: d, "spec", "algoritm"),
+        (lambda d: d["topology"], "topology", "antenas"),
+        (lambda d: d["topology"]["antennas"][1], "antenna #2", "pwoer"),
+        (lambda d: d["scenario"], "scenario", "sed"),
+        (lambda d: d["scenario"]["periods"][1], "period 2", "total_user"),
+        (lambda d: d["scenario"]["periods"][0]["hotspots"][1],
+         "period 1, hotspot 2", "truncat"),
+        (lambda d: d["pathloss"], "pathloss", "shadowing_sigm"),
+    ], ids=["top-periods", "top-algorithm", "topology", "antenna",
+            "scenario", "period", "hotspot", "pathloss"])
+    def test_unknown_key_named(self, block, where, key):
+        d = spec_to_dict(quick_spec())
+        block(d)[key] = 1
+        with pytest.raises(ConfigError) as exc:
+            spec_from_dict(d)
+        assert str(exc.value).startswith(f"{where}: unknown key(s) ['{key}']; "
+                                         "known keys: [")
+
     def test_missing_blocks_named(self):
         with pytest.raises(ConfigError, match="topology"):
             spec_from_dict({"scenario": {}})
@@ -208,6 +228,15 @@ class TestSpecs:
          "antenna 2: p_max inf dBm must be finite"),
         ("scenario", lambda s: s["periods"][1].update(total_users=0),
          "period 2: total_users must be at least 1, got 0"),
+        (None, lambda d: d.update(pathloss=[1]), "pathloss: [1] is not an object"),
+        ("scenario", lambda s: s["periods"][0]["hotspots"].__setitem__(0, 5),
+         "period 1, hotspot 1: 5 is not an object"),
+        ("topology", lambda t: t.update(antennas=5),
+         "topology: antennas 5 is not a valid list"),
+        ("topology", lambda t: t.update(neighbours=[1]),
+         "topology: neighbours [1] is not a valid dict"),
+        (None, lambda d: d.update(bundle=[1]),
+         "spec: bundle [1] is not a valid dict"),
     ], ids=["no-prb", "bad-prb", "no-weight", "bad-exponent", "bad-demand",
             "scalar-demand", "bad-neighbour", "bad-periods", "bad-seed",
             "bad-cfg-value", "cfg-not-an-object", "fractional-int",
@@ -219,7 +248,9 @@ class TestSpecs:
             "int-output-dir", "string-beta", "betas-short-of-periods",
             "nan-beta", "negative-beta", "zero-nx", "negative-ny",
             "zero-hotspots", "nan-weight", "nan-spread", "nan-truncate",
-            "infinite-truncate", "infinite-p-max", "zero-users"])
+            "infinite-truncate", "infinite-p-max", "zero-users",
+            "list-pathloss", "int-hotspot", "int-antennas", "list-neighbours",
+            "list-bundle"])
     def test_bad_block_field_named(self, block, edit, message):
         d = spec_to_dict(quick_spec())
         edit(d if block is None else d[block])
@@ -600,6 +631,25 @@ class TestCli:
         assert exc.value.code == 2
         assert capsys.readouterr().err == \
             f"breathenet: error: {block or 'run'} seed must be non-negative, got -1\n"
+
+    @pytest.mark.parametrize("text, want", [
+        (None, "cannot read spec (No such file or directory)"),
+        ("{bad", "not valid JSON (Expecting property name enclosed in "
+                 "double quotes: line 1 column 2 (char 1))"),
+        ("[1]", "the spec's top level is not a JSON object"),
+    ], ids=["missing", "invalid-json", "not-an-object"])
+    def test_an_unreadable_spec_file_is_one_error_line(self, tmp_path, capsys,
+                                                      text, want):
+        from breathenet.cli import main
+
+        spec_path = tmp_path / "spec.json"
+        if text is not None:
+            spec_path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(spec_path), "--quiet"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == \
+            f"breathenet: error: {spec_path}: {want}\n"
 
     def test_compare_names_a_run_with_no_period(self, tmp_path, capsys):
         from breathenet.cli import main

@@ -1,5 +1,5 @@
 """Measurement-record batches: generation, domain switch, redundancy
-deletion, ranked tables, sampling and persistence."""
+deletion, ranked tables and sampling."""
 
 import tracemalloc
 from itertools import combinations
@@ -16,14 +16,11 @@ from breathenet.mrdata import (
     co_neighbours,
     dataset_from_records,
     generate_mr,
-    load_csv,
     remove_redundant,
     sample_for_jacobian,
-    save_csv,
     subsample,
     to_attenuation,
 )
-from breathenet.model import ConfigError
 from breathenet.traffic import UserBatch, assign_users, block_rows
 
 
@@ -144,6 +141,20 @@ class TestGeneration:
         users = batch_from_attenuation([[10.0, 10.0, 5.0]])
         ds = generate_mr(users, np.array([30.0, 30.0, 30.0]), top_m=3)
         assert records_as_tuples(ds) == [((3, 25.0), (1, 20.0), (2, 20.0))]
+
+    def test_every_tie_listed_by_ascending_id(self):
+        # whole-dB attenuations at equal powers tie often; each record lists
+        # every antenna once, by falling strength and each tie by ascending
+        # id, the order estimate_jacobian's down-shift reads
+        rng = np.random.default_rng(12)
+        users = batch_from_attenuation(rng.integers(60, 64, size=(300, 4)))
+        ds = generate_mr(users, np.full(4, 40.0), top_m=4)
+        ties = ds.values[:, 1:] == ds.values[:, :-1]
+        assert ties.any()
+        np.testing.assert_array_equal(np.sort(ds.ids, axis=1),
+                                      np.broadcast_to(np.arange(1, 5), (300, 4)))
+        assert (ds.values[:, 1:] <= ds.values[:, :-1]).all()
+        assert (ds.ids[:, 1:][ties] > ds.ids[:, :-1][ties]).all()
 
     def test_top_m_wider_than_network_is_clipped(self):
         users = batch_from_attenuation([[10.0, 12.0]])
@@ -567,146 +578,6 @@ class TestCoNeighbours:
         sets = co_neighbours(ds)
         assert sets == brute_force_co_neighbours(ds)
         assert sets[n - 2] == set() and sets[n - 1]
-
-
-class TestCsvRoundTrip:
-    def test_save_load_identity(self, tmp_path):
-        rng = np.random.default_rng(10)
-        users = batch_from_attenuation(rng.uniform(60, 110, size=(50, 3)))
-        p = np.array([40.0, 42.0, 39.0])
-        ds = generate_mr(users, p, top_m=2)
-        path = tmp_path / "mr.csv"
-        save_csv(ds, path)
-        loaded, report = load_csv(path, n_antennas=3)
-        assert report.kept == 50 and report.rejected == 0
-        np.testing.assert_array_equal(loaded.ids, ds.ids)
-        np.testing.assert_allclose(loaded.values, ds.values, atol=1e-12)
-
-    def test_rejects_malformed_records(self, tmp_path):
-        path = tmp_path / "mr.csv"
-        rows = [
-            "record_id,rank,antenna_id,value,domain",
-            "1,1,1,-70.0,signal",          # fine
-            "2,1,1,-70.0,signal",          # duplicate antenna id
-            "2,2,1,-75.0,signal",
-            "3,1,9,-70.0,signal",          # out of range
-            "4,1,1,nan,signal",            # non-finite
-            "5,1,1,-80.0,signal",          # first entry not the strongest
-            "5,2,2,-70.0,signal",
-        ]
-        path.write_text("\n".join(rows) + "\n")
-        ds, report = load_csv(path, n_antennas=3)
-        assert report.kept == 1 and report.rejected == 4
-        assert records_as_tuples(ds) == [((1, -70.0),)]
-
-    def test_rejects_a_competitor_stronger_than_the_one_before(self, tmp_path):
-        # record 1's third entry beats its second: estimate_jacobian's
-        # down-shift reads column 1 as the strongest competitor and would
-        # miss the switch to antenna 3. Record 2's tie is kept
-        path = tmp_path / "mr.csv"
-        rows = [
-            "record_id,rank,antenna_id,value,domain",
-            "1,1,1,-70.0,signal",
-            "1,2,2,-75.0,signal",
-            "1,3,3,-72.0,signal",
-            "2,1,1,-70.0,signal",
-            "2,2,2,-72.0,signal",
-            "2,3,3,-72.0,signal",
-        ]
-        path.write_text("\n".join(rows) + "\n")
-        ds, report = load_csv(path, n_antennas=3)
-        assert report.kept == 1 and report.rejected == 1
-        assert records_as_tuples(ds) == [((1, -70.0), (2, -72.0), (3, -72.0))]
-
-    def test_rejects_a_tie_listed_by_falling_id(self, tmp_path):
-        # strongest-pilot assignment gives a tie to the lower id, so
-        # lowering antenna 1 switches this user to antenna 2; the
-        # down-shift would credit antenna 3, the first competitor listed
-        path = tmp_path / "mr.csv"
-        path.write_text("record_id,rank,antenna_id,value,domain\n"
-                        "1,1,1,-70.0,signal\n"
-                        "1,2,3,-72.0,signal\n"
-                        "1,3,2,-72.0,signal\n")
-        with pytest.warns(UserWarning, match="no valid records"):
-            _, report = load_csv(path, n_antennas=3)
-        assert report.kept == 0 and report.rejected == 1
-        users = batch_from_attenuation([[110.0, 112.0, 112.0]])
-        assert assign_users(users, np.array([40.0 - 4.0, 40.0, 40.0]))[0] == 2
-
-    def test_generated_ties_load_back_whole(self, tmp_path):
-        # whole-dB attenuations at equal powers tie often; generate_mr lists
-        # every tie by ascending id, so no record is rejected
-        rng = np.random.default_rng(12)
-        users = batch_from_attenuation(rng.integers(60, 64, size=(300, 4)))
-        ds = generate_mr(users, np.full(4, 40.0), top_m=4)
-        assert (ds.values[:, 1:] == ds.values[:, :-1]).any()
-        path = tmp_path / "mr.csv"
-        save_csv(ds, path)
-        loaded, report = load_csv(path, n_antennas=4)
-        assert report.kept == 300 and report.rejected == 0
-        np.testing.assert_array_equal(loaded.ids, ds.ids)
-
-    def test_attenuation_order_is_judged_on_received_strength(self, tmp_path):
-        # attenuations 10, 12, 10.5 at powers 30, 31, 30 receive 20, 19,
-        # 19.5: entry 3 beats entry 2; with antenna 3 at 29.5 dBm they fall
-        # to a tie
-        path = tmp_path / "mr.csv"
-        path.write_text("record_id,rank,antenna_id,value,domain\n"
-                        "1,1,1,10.0,attenuation\n"
-                        "1,2,2,12.0,attenuation\n"
-                        "1,3,3,10.5,attenuation\n")
-        with pytest.warns(UserWarning, match="no valid records"):
-            _, report = load_csv(path, n_antennas=3, powers=[30.0, 31.0, 30.0])
-        assert report.kept == 0 and report.rejected == 1
-        _, report = load_csv(path, n_antennas=3, powers=[30.0, 31.0, 29.5])
-        assert report.kept == 1 and report.rejected == 0
-
-    def test_attenuation_batch_needs_powers(self, tmp_path):
-        path = tmp_path / "mr.csv"
-        path.write_text("record_id,rank,antenna_id,value,domain\n"
-                        "1,1,1,10.0,attenuation\n")
-        with pytest.raises(ValueError):
-            load_csv(path, n_antennas=1)
-        ds, report = load_csv(path, n_antennas=1, powers=np.array([30.0]))
-        assert report.kept == 1
-
-    def test_unknown_domain_names_the_line(self, tmp_path):
-        path = tmp_path / "mr.csv"
-        path.write_text("record_id,rank,antenna_id,value,domain\n"
-                        "1,1,1,-70.0,signal\n"
-                        "2,1,1,-70.0,Signal\n")
-        with pytest.raises(ConfigError, match=r"line 3: unknown domain 'Signal'"):
-            load_csv(path, n_antennas=1)
-
-    def test_mixed_domains_name_the_line(self, tmp_path):
-        path = tmp_path / "mr.csv"
-        path.write_text("record_id,rank,antenna_id,value,domain\n"
-                        "1,1,1,-70.0,signal\n"
-                        "2,1,1,80.0,attenuation\n")
-        with pytest.raises(ConfigError, match=r"line 3: domain 'attenuation' "
-                                              r"in a batch of 'signal' records"):
-            load_csv(path, n_antennas=1, powers=np.array([30.0]))
-
-    def test_missing_domain_column_named(self, tmp_path):
-        path = tmp_path / "mr.csv"
-        path.write_text("record_id,rank,antenna_id,value\n1,1,1,-70.0\n")
-        with pytest.raises(ConfigError, match=r"line 1: missing column\(s\) \['domain'\]"):
-            load_csv(path, n_antennas=1)
-
-    def test_unparsable_number_names_the_line_and_field(self, tmp_path):
-        path = tmp_path / "mr.csv"
-        path.write_text("record_id,rank,antenna_id,value,domain\n"
-                        "1,1,1,-70.0,signal\n"
-                        "1,2,2,strong,signal\n")
-        with pytest.raises(ConfigError, match=r"line 3: value 'strong' is not a valid float"):
-            load_csv(path, n_antennas=2)
-
-    def test_warns_when_nothing_valid(self, tmp_path):
-        path = tmp_path / "mr.csv"
-        path.write_text("record_id,rank,antenna_id,value,domain\n"
-                        "1,1,7,10.0,signal\n")
-        with pytest.warns(UserWarning):
-            load_csv(path, n_antennas=2)
 
 
 class TestSubsample:
