@@ -8,7 +8,6 @@ equalizes across antennas without dropping coverage below a floor.
 from .balancer import (
     SingularJacobian,
     BalanceStep,
-    apply_and_clamp,
     bdba_solve,
     bfdba_solve,
     save_steps_jsonl,
@@ -47,7 +46,6 @@ from .model import (
     ConfigError,
     NetworkTopology,
     topology_from_dict,
-    topology_from_json,
     topology_to_dict,
     watts_to_dbm,
 )

@@ -1,6 +1,6 @@
 """Power rebalancing: the full-Jacobian pseudoinverse balancer (bdba), the
-diagonal fast balancer (bfdba), clamped power application and the per-period
-step that ties estimation, solving and the coverage floor together.
+diagonal fast balancer (bfdba) and the per-period step that ties estimation,
+solving, damping and the coverage floor together.
 
 The pseudoinverse solve works in the zero-sum subspace: the adjustment u is
 the least-squares solution of A~ u = d among vectors with sum(u) = 0, which
@@ -14,7 +14,7 @@ import functools
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +65,7 @@ def bdba_solve(approx: JacobianApprox, d: np.ndarray,
     (rtol = 1e-10 * n) raises SingularJacobian: the record support does not
     connect the network. Two or more empty rows, or two or more empty
     columns, bound the rank by n - 2, so that verdict is reached before the
-    SVD (stored zeros count as entries and leave the decision to it).
+    SVD.
     Separately, directions weaker than ``cutoff`` times the largest singular
     value are dropped from the solve; the estimate is Monte Carlo sampled and
     those directions carry more noise than signal, producing adjustments far
@@ -132,12 +132,11 @@ class BalanceStep:
     u: np.ndarray
     p_next: np.ndarray
     clamp_flags: tuple[str, ...]
-    residual: float | None = None
-    duration_s: float = 0.0
-    solver_diag: dict = field(default_factory=dict)
-    p_min: np.ndarray | None = None
-    fallback: bool = False
-    held: bool = False
+    residual: float | None
+    duration_s: float
+    solver_diag: dict
+    fallback: bool
+    held: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -153,33 +152,6 @@ class BalanceStep:
         }
 
 
-def apply_and_clamp(powers: np.ndarray, u: np.ndarray, gamma: float,
-                    p_min: np.ndarray, p_max: np.ndarray,
-                    algorithm: str = "", period: int = 0) -> BalanceStep:
-    """p_next = median(p_min, p + gamma * u, p_max), flagged per antenna.
-
-    Raises InfeasibleCoverage when some p_min exceeds its p_max (the coverage
-    floor cannot be met within the rated power).
-    """
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must lie in (0, 1]")
-    powers = np.asarray(powers, dtype=float)
-    u = np.asarray(u, dtype=float)
-    p_min = np.asarray(p_min, dtype=float)
-    p_max = np.asarray(p_max, dtype=float)
-    bad = np.flatnonzero(p_min > p_max)
-    if len(bad):
-        raise InfeasibleCoverage(tuple(bad + 1),
-                                 "coverage floor above rated power")
-    star = powers + gamma * u
-    nxt = np.clip(star, p_min, p_max)
-    flags = tuple("hit_max" if s > hi else "hit_min" if s < lo else "none"
-                  for s, lo, hi in zip(star, p_min, p_max))
-    return BalanceStep(period=period, algorithm=algorithm, u=u.copy(),
-                       p_next=nxt,
-                       clamp_flags=flags, p_min=p_min.copy())
-
-
 def step(topo: NetworkTopology, powers: np.ndarray, state: BusyState,
          mr_signal: MrDataset, coverage_eval, cfg: AlgorithmConfig,
          algorithm: str, seed: int = 0) -> BalanceStep:
@@ -191,8 +163,12 @@ def step(topo: NetworkTopology, powers: np.ndarray, state: BusyState,
     Estimates the Jacobian from the signal-domain records, solves for the
     adjustment with the requested algorithm (falling back from bdba to bfdba
     on a singular estimate; bfdba holds powers, u = 0, when the diagonal is
-    degenerate), raises the coverage floor via the minimum-power search, and
-    clamps. The recorded duration covers estimation + solve + coverage.
+    degenerate), damps it to p + gamma * u, caps that at p_max, and runs the
+    minimum-power coverage search from there: the search result is the next
+    power vector. Each antenna is flagged ``hit_max`` where p + gamma * u
+    exceeds p_max, ``hit_min`` where the search raised it above
+    p + gamma * u, and ``none`` elsewhere. The recorded duration covers
+    estimation + solve + coverage.
     """
     if algorithm not in ("bdba", "bfdba"):
         raise ValueError(f"unknown balancing algorithm {algorithm!r}")
@@ -226,22 +202,21 @@ def step(topo: NetworkTopology, powers: np.ndarray, state: BusyState,
                       f"antennas {tuple(diag['degenerate'])}; holding powers")
 
     p_max = topo.p_max_vector()
-    start = np.minimum(powers + cfg.gamma * u, p_max)
+    star = powers + cfg.gamma * u
     try:
-        p_min = min_power_search(start, topo, coverage_eval, cfg.f_con, cfg.delta_p)
+        p_next = min_power_search(np.minimum(star, p_max), topo, coverage_eval,
+                                  cfg.f_con, cfg.delta_p)
     except InfeasibleCoverage as exc:
         raise InfeasibleCoverage(exc.antennas,
                                  f"period {period}: {exc.reason}") from exc
     duration = time.perf_counter() - t0
 
-    rec = apply_and_clamp(powers, u, cfg.gamma, p_min, p_max,
-                          algorithm=used, period=period)
-    rec.solver_diag = diag
-    rec.residual = diag.get("residual")
-    rec.duration_s = duration
-    rec.fallback = fallback
-    rec.held = held
-    return rec
+    flags = tuple("hit_max" if s > hi else "hit_min" if s < lo else "none"
+                  for s, lo, hi in zip(star, p_next, p_max))
+    return BalanceStep(period=period, algorithm=used, u=u, p_next=p_next,
+                       clamp_flags=flags, residual=diag.get("residual"),
+                       duration_s=duration, solver_diag=diag,
+                       fallback=fallback, held=held)
 
 
 def save_steps_jsonl(steps, path) -> None:

@@ -87,12 +87,18 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
 
     Either a 'bundle' block ({"name": ..., **kwargs} naming a built-in
     generator) or explicit 'topology' + 'scenario' (+ optional 'pathloss')
-    blocks describe the world; 'cfg' holds AlgorithmConfig overrides. A key
-    that no block knows raises a ConfigError naming the block and the key.
+    blocks describe the world, never both; 'cfg' holds AlgorithmConfig
+    overrides. A key that no block knows raises a ConfigError naming the
+    block and the key.
     """
     check_keys(d, ("bundle", "topology", "scenario", "pathloss", "cfg",
                    "algorithm", "periods", "seed", "output_dir"), "spec")
     if "bundle" in d:
+        explicit = [key for key in ("topology", "scenario", "pathloss")
+                    if key in d]
+        if explicit:
+            raise ConfigError(f"spec: the 'bundle' block cannot go with "
+                              f"{explicit}: a bundle builds the whole world")
         block = config_field(d, "bundle", dict, "spec")
         if "name" not in block:
             raise ConfigError("the bundle block is missing its 'name'")

@@ -11,7 +11,6 @@ row sums near zero.
 from __future__ import annotations
 
 import functools
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -83,27 +82,15 @@ def _csr_arrays(keys: np.ndarray, data: np.ndarray,
 
 
 def approx_from_matrix(matrix) -> JacobianApprox:
-    """Wrap an explicit matrix for the solvers; handy for analytic cases
-    where no record batch exists. A dense matrix keeps its nonzero cells, as
-    scipy's ``csr_matrix`` would. A scipy sparse matrix keeps its stored
-    entries, zeros too, with duplicates summed."""
-    sparse = sys.modules.get("scipy.sparse")
-    if sparse is not None and sparse.issparse(matrix):
-        # only a caller that already holds scipy can pass one
-        coo = matrix.tocoo(copy=True)
-        coo.sum_duplicates()  # sorts the entries by (row, col)
-        shape = coo.shape
-        keys = coo.row.astype(np.int64) * shape[-1] + coo.col
-        data = coo.data.astype(float)
-    else:
-        a = np.asarray(matrix, dtype=float)
-        shape = a.shape
-        keys = np.flatnonzero(a)  # row-major, so ascending (row, col)
-        data = a.ravel()[keys]
-    if len(shape) != 2 or shape[0] != shape[1]:
+    """Wrap an explicit dense matrix for the solvers; handy for analytic
+    cases where no record batch exists. It keeps the nonzero cells, as
+    scipy's ``csr_matrix`` would."""
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    n = shape[0]
-    return JacobianApprox(*_csr_arrays(keys, data, n),
+    keys = np.flatnonzero(a)  # row-major, so ascending (row, col)
+    n = len(a)
+    return JacobianApprox(*_csr_arrays(keys, a.ravel()[keys], n),
                           sample_sizes=np.zeros(n, dtype=int), empty_rows=())
 
 
@@ -250,8 +237,8 @@ class SupportGraph:
 
 def support_graph(approx: JacobianApprox) -> SupportGraph:
     """Strong components of the estimate's support, with an edge i -> j
-    wherever A~_ij is stored (a stored zero counts). Components list 1-based
-    ids in ascending order and are ordered by their smallest member."""
+    wherever A~_ij is stored. Components list 1-based ids in ascending
+    order and are ordered by their smallest member."""
     # imported on first use: csgraph loads scipy.linalg and
     # scipy.sparse.linalg, about 10 MB resident that a run which never
     # names the components does not need

@@ -7,7 +7,6 @@ converted on load.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -122,6 +121,7 @@ def _power_to_dbm(obj) -> float:
         unit = str(obj["unit"]).lower()
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed power entry: {obj!r}") from exc
+    check_keys(obj, ("value", "unit"), "power entry")
     if unit == "watts":
         return watts_to_dbm(value)
     if unit == "dbm":
@@ -299,6 +299,11 @@ def topology_from_dict(d: dict) -> NetworkTopology:
     antennas.sort(key=lambda a: a.id)
     n = len(antennas)
     raw_neigh = config_field(d, "neighbours", dict, "topology", {})
+    # the known keys are the ids "1".."n", too many to list
+    unknown = sorted(set(raw_neigh) - {str(i) for i in range(1, n + 1)})
+    if unknown:
+        raise ConfigError(f"neighbours: unknown key(s) {unknown}; known keys "
+                          f"are the antenna ids '1'..'{n}'")
     neighbours = [config_field(raw_neigh, str(i), antenna_ids, "neighbours",
                                frozenset()) for i in range(1, n + 1)]
     topo = NetworkTopology(tuple(antennas), tuple(neighbours))
@@ -325,8 +330,3 @@ def topology_to_dict(topo: NetworkTopology) -> dict:
         "neighbours": {str(i): sorted(peers)
                        for i, peers in enumerate(topo.neighbours, start=1)},
     }
-
-
-def topology_from_json(path) -> NetworkTopology:
-    with open(path) as fh:
-        return topology_from_dict(json.load(fh))

@@ -33,10 +33,6 @@ class MrRecord:
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate antenna ids in record: {ids}")
 
-    @property
-    def serving(self) -> int:
-        return self.entries[0][0]
-
 
 @dataclass
 class MrDataset:

@@ -174,15 +174,17 @@ class TestSpecs:
          "neighbours: 2 [1, 3, 4, 5, 6, True] is not a valid antenna_ids"),
         ("topology", lambda t: t["antennas"][1]["power"].update(value=True),
          "antenna 2: power: malformed power entry: {'value': True, 'unit': 'dbm'}"),
-        (None, lambda d: d.update(bundle={"name": "tidal", "periods": 2.5}),
+        ("bundle", lambda d: d.update(bundle={"name": "tidal",
+                                              "periods": 2.5}),
          "bundle: periods 2.5 is not a valid int"),
-        (None, lambda d: d.update(bundle={"name": "random", "total_users": True}),
+        ("bundle", lambda d: d.update(bundle={"name": "random",
+                                              "total_users": True}),
          "bundle: total_users True is not a valid int"),
-        (None, lambda d: d.update(bundle={"name": "random", "seed": -1}),
+        ("bundle", lambda d: d.update(bundle={"name": "random", "seed": -1}),
          "bundle: seed must be non-negative, got -1"),
-        (None, lambda d: d.update(bundle={"name": "tidal", "seed": -1}),
+        ("bundle", lambda d: d.update(bundle={"name": "tidal", "seed": -1}),
          "bundle: seed must be non-negative, got -1"),
-        (None, lambda d: d.update(bundle={"name": "tidal", "seed": -2}),
+        ("bundle", lambda d: d.update(bundle={"name": "tidal", "seed": -2}),
          "bundle: seed must be non-negative, got -2"),
         ("pathloss", lambda p: p.update(exponent=float("nan")),
          "pathloss exponent must be finite, got nan"),
@@ -194,23 +196,24 @@ class TestSpecs:
          "pathloss shadowing_sigma must be finite, got inf"),
         (None, lambda d: d.update(output_dir=5),
          "spec: output_dir 5 is not a valid str"),
-        (None, lambda d: d.update(bundle={"name": "proportional",
-                                          "betas": [1.0, "x"]}),
+        ("bundle", lambda d: d.update(bundle={"name": "proportional",
+                                              "betas": [1.0, "x"]}),
          "bundle: betas [1.0, 'x'] is not a valid floats"),
-        (None, lambda d: d.update(bundle={"name": "proportional", "periods": 2,
-                                          "betas": [1.0]}),
+        ("bundle", lambda d: d.update(bundle={"name": "proportional",
+                                              "periods": 2, "betas": [1.0]}),
          "bundle: betas lists 1 period(s), periods is 2"),
-        (None, lambda d: d.update(bundle={"name": "proportional",
-                                          "betas": [1.0, float("nan")]}),
+        ("bundle", lambda d: d.update(bundle={"name": "proportional",
+                                              "betas": [1.0, float("nan")]}),
          "bundle: betas must be finite and non-negative, got [1.0, nan]"),
-        (None, lambda d: d.update(bundle={"name": "proportional",
-                                          "betas": [1.0, -0.5]}),
+        ("bundle", lambda d: d.update(bundle={"name": "proportional",
+                                              "betas": [1.0, -0.5]}),
          "bundle: betas must be finite and non-negative, got [1.0, -0.5]"),
-        (None, lambda d: d.update(bundle={"name": "random", "nx": 0}),
+        ("bundle", lambda d: d.update(bundle={"name": "random", "nx": 0}),
          "bundle: nx must be at least 1, got 0"),
-        (None, lambda d: d.update(bundle={"name": "random", "ny": -3}),
+        ("bundle", lambda d: d.update(bundle={"name": "random", "ny": -3}),
          "bundle: ny must be at least 1, got -3"),
-        (None, lambda d: d.update(bundle={"name": "random", "n_hotspots": 0}),
+        ("bundle", lambda d: d.update(bundle={"name": "random",
+                                              "n_hotspots": 0}),
          "bundle: n_hotspots must be at least 1, got 0"),
         ("scenario", lambda s: s["periods"][0]["hotspots"][0].update(
             weight=float("nan")), "hotspot weight must be non-negative, got nan"),
@@ -235,8 +238,17 @@ class TestSpecs:
          "topology: antennas 5 is not a valid list"),
         ("topology", lambda t: t.update(neighbours=[1]),
          "topology: neighbours [1] is not a valid dict"),
-        (None, lambda d: d.update(bundle=[1]),
+        ("bundle", lambda d: d.update(bundle=[1]),
          "spec: bundle [1] is not a valid dict"),
+        (None, lambda d: d.update(bundle={"name": "random", "nx": 2, "ny": 2}),
+         "spec: the 'bundle' block cannot go with ['topology', 'scenario', "
+         "'pathloss']: a bundle builds the whole world"),
+        ("topology", lambda t: t["antennas"][1]["power"].update(unti="w"),
+         "antenna 2: power: power entry: unknown key(s) ['unti']; "
+         "known keys: ['unit', 'value']"),
+        ("topology", lambda t: t["neighbours"].update({"9": [1]}),
+         "neighbours: unknown key(s) ['9']; known keys are the antenna ids "
+         "'1'..'6'"),
     ], ids=["no-prb", "bad-prb", "no-weight", "bad-exponent", "bad-demand",
             "scalar-demand", "bad-neighbour", "bad-periods", "bad-seed",
             "bad-cfg-value", "cfg-not-an-object", "fractional-int",
@@ -250,10 +262,12 @@ class TestSpecs:
             "zero-hotspots", "nan-weight", "nan-spread", "nan-truncate",
             "infinite-truncate", "infinite-p-max", "zero-users",
             "list-pathloss", "int-hotspot", "int-antennas", "list-neighbours",
-            "list-bundle"])
+            "list-bundle", "bundle-beside-explicit-blocks",
+            "unknown-power-key", "unknown-neighbours-key"])
     def test_bad_block_field_named(self, block, edit, message):
-        d = spec_to_dict(quick_spec())
-        edit(d if block is None else d[block])
+        # a bundle builds the whole world, so its cases start from no blocks
+        d = {} if block == "bundle" else spec_to_dict(quick_spec())
+        edit(d if block in (None, "bundle") else d[block])
         with pytest.raises(ConfigError) as exc:
             spec_from_dict(d)
         assert str(exc.value) == message

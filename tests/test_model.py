@@ -14,7 +14,6 @@ from breathenet.model import (
     ConfigError,
     NetworkTopology,
     topology_from_dict,
-    topology_from_json,
     topology_to_dict,
     watts_to_dbm,
 )
@@ -149,14 +148,6 @@ class TestTopologySerialization:
         topo = topology_from_dict(d)
         assert topo.antennas[0].p == pytest.approx(30.0)
         assert topo.antennas[0].p_max == pytest.approx(watts_to_dbm(80.0))
-
-    def test_from_json_file(self, tmp_path):
-        import json
-
-        topo = make_topo(2, neighbours=[{2}, {1}])
-        path = tmp_path / "topo.json"
-        path.write_text(json.dumps(topology_to_dict(topo)))
-        assert topology_from_json(path) == topo
 
     def test_asymmetric_neighbours_rejected(self):
         d = topology_to_dict(make_topo(3, neighbours=[{2, 3}, {1}, set()]))
