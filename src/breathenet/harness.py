@@ -107,7 +107,7 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
             raise ConfigError(f"unknown bundle {name!r}; "
                               f"choose from {sorted(_BUNDLES)}")
         allowed = _bundle_keywords(_BUNDLES[name])
-        unknown = sorted(set(block) - set(allowed))
+        unknown = sorted(set(block) - set(allowed), key=str)
         if unknown:
             raise ConfigError(f"bundle {name!r} takes no keyword(s) {unknown}; "
                               f"choose from {sorted(allowed)}")

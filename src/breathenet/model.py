@@ -47,7 +47,7 @@ def check_keys(block, keys, where: str) -> None:
     ``where`` and the keys it does not know."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where}: {block!r} is not an object")
-    unknown = sorted(set(block) - set(keys))
+    unknown = sorted(set(block) - set(keys), key=str)
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {unknown}; "
                           f"known keys: {sorted(keys)}")
@@ -300,7 +300,8 @@ def topology_from_dict(d: dict) -> NetworkTopology:
     n = len(antennas)
     raw_neigh = config_field(d, "neighbours", dict, "topology", {})
     # the known keys are the ids "1".."n", too many to list
-    unknown = sorted(set(raw_neigh) - {str(i) for i in range(1, n + 1)})
+    unknown = sorted(set(raw_neigh) - {str(i) for i in range(1, n + 1)},
+                     key=str)
     if unknown:
         raise ConfigError(f"neighbours: unknown key(s) {unknown}; known keys "
                           f"are the antenna ids '1'..'{n}'")

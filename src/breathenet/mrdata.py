@@ -104,6 +104,15 @@ def generate_mr(users: UserBatch, powers: np.ndarray, top_m: int = 6) -> MrDatas
     powers - attenuation at the listed cells. A batch rescaled from a base
     period ranks the base's rows and takes its users' rows from them;
     ranking is per row, so that is bitwise what ranking its own rows gives.
+
+    A block of a pruning recipe comes with ``undrawn``, the cells whose
+    shadowing the period's stream did not draw; they rank as absent. A row
+    stands when its m-th listed value beats the most any undrawn cell could
+    reach: its power less its pathloss plus the clipped shadowing's
+    ``reach``. That is checked first against the row's cut and the highest
+    power, then cell by cell for the rows that fail it. Every other row has
+    its undrawn cells completed and is ranked in full, so each record is
+    that of the whole matrix, at any powers.
     """
     if top_m < 1:
         raise ValueError("top_m must be at least 1")
@@ -115,25 +124,56 @@ def generate_mr(users: UserBatch, powers: np.ndarray, top_m: int = 6) -> MrDatas
     every = np.arange(n)
     ids = np.empty((users.source_rows, m), np.int32)
     vals = np.empty((users.source_rows, m))
+    top = powers.max(initial=-np.inf)
 
-    def rank(lo, hi, att, spare):
-        if m < n:
-            # attenuation - powers is exactly -(powers - attenuation): IEEE
-            # subtraction rounds symmetrically
-            np.subtract(att, powers, out=spare)
-            ranked = np.argpartition(spare, m, axis=1)
-            part = ranked[:, :m]
-            gap = (np.take_along_axis(spare, ranked[:, m:m + 1], axis=1)[:, 0]
-                   - np.take_along_axis(spare, part, axis=1).max(axis=1))
-            tied = np.flatnonzero(~(gap > 0))  # a NaN gap sorts too
-            if tied.size:
-                part[tied] = np.argsort(spare[tied], axis=1, kind="stable")[:, :m]
-        else:
-            part = np.broadcast_to(every, (hi - lo, n))
+    def strongest(spare):
+        """The columns of each row's m smallest cells of ``spare``."""
+        if m == n:
+            return np.broadcast_to(every, spare.shape)
+        ranked = np.argpartition(spare, m, axis=1)
+        part = ranked[:, :m]
+        gap = (np.take_along_axis(spare, ranked[:, m:m + 1], axis=1)[:, 0]
+               - np.take_along_axis(spare, part, axis=1).max(axis=1))
+        tied = np.flatnonzero(~(gap > 0))  # a NaN gap sorts too
+        if tied.size:
+            part[tied] = np.argsort(spare[tied], axis=1, kind="stable")[:, :m]
+        return part
+
+    def record(rows, att, part):
         v = powers[part] - np.take_along_axis(att, part, axis=1)
         order = np.lexsort((part, -v), axis=1)
-        ids[lo:hi] = np.take_along_axis(part, order, axis=1) + 1
-        vals[lo:hi] = np.take_along_axis(v, order, axis=1)
+        ids[rows] = np.take_along_axis(part, order, axis=1) + 1
+        vals[rows] = np.take_along_axis(v, order, axis=1)
+
+    def unsettled(att, spare, part, undrawn):
+        """The rows an undrawn cell might enter: where the m-th listed
+        attenuation - powers is not below the least an undrawn cell can
+        take, its pathloss less ``reach`` minus its power."""
+        worst = np.take_along_axis(spare, part, axis=1).max(axis=1)
+        # an undrawn cell's pathloss lies above its row's cut and its power
+        # is at most top; rounding is monotone, so both bounds hold in floats
+        rows = np.flatnonzero(~(worst < undrawn.cut - undrawn.reach - top))
+        if rows.size:
+            least = np.min(att[rows] - undrawn.reach - powers, axis=1,
+                           where=undrawn.outside[rows], initial=np.inf)
+            rows = rows[~(worst[rows] < least)]
+        return rows
+
+    def rank(lo, hi, att, spare, undrawn=None):
+        # attenuation - powers is exactly -(powers - attenuation): IEEE
+        # subtraction rounds symmetrically
+        np.subtract(att, powers, out=spare)
+        if undrawn is not None:
+            np.copyto(spare, np.inf, where=undrawn.outside)
+        part = strongest(spare)
+        record(slice(lo, hi), att, part)
+        if undrawn is not None:
+            rows = unsettled(att, spare, part, undrawn)
+            if rows.size:
+                full = att[rows]
+                for row, r in zip(full, rows):
+                    undrawn.complete(r, row)
+                record(lo + rows, full, strongest(full - powers))
 
     users.each_block(rank)
     if users.pick is not None:

@@ -20,12 +20,23 @@ from .model import (ConfigError, NetworkTopology, check_keys, config_field,
 BLOCK_ELEMENTS = 1 << 17
 
 # Most threads filling one period's attenuation. Each thread, the calling
-# one among them, takes its turn at the sequential shadowing stream, then
-# fills its block and hands it on (to the MR ranking, say). Measured serially
-# on one period of grid-500 and grid-2k (2-core x86), the draw is 66-68% of
-# draw plus fill and 45-51% of a whole generate_mr pass; the draws run one at
-# a time, so from three threads on they set the pace.
+# one among them, fills a block's pathloss, takes its turn at the sequential
+# shadowing stream, then hands the block on (to the MR ranking, say). The
+# draws run one at a time, in block order. Measured serially on one grid-2k
+# period (2-core x86), the candidate draw (see CANDIDATE_RANK) is about 10%
+# of a generate_mr pass and the pathloss with its candidate marking about
+# 60%, so the turns seldom wait; a dense draw costs 12-15 ns per cell and,
+# from three threads on, sets the pace.
 MAX_SAMPLING_WORKERS = 3
+
+# A row's candidate cells are the antennas whose deterministic pathloss lies
+# within the recipe's margin of the row's CANDIDATE_RANK-th smallest; only
+# they are drawn from the period's shadowing stream. Any other cell's z comes
+# from its row's own stream, only when a ranking needs the row in full, and
+# is clipped at SHADOW_CLIP: its shadowing lowers its attenuation by at most
+# SHADOW_CLIP * sigma dB.
+CANDIDATE_RANK = 6
+SHADOW_CLIP = 4.0
 
 
 @dataclass(frozen=True)
@@ -141,10 +152,12 @@ class UserBatch:
     from an explicit matrix or, by ``sample_users``, from an
     ``AttenuationRecipe``: then it holds no U x n array. ``each_block``
     streams the recipe's row blocks: each worker thread, the calling thread
-    among them, takes its turn at the shadowing draw, then fills its block's
-    attenuation and runs the consumer on it (``generate_mr`` ranks it
-    there). ``attenuation`` copies the streamed blocks into the whole matrix
-    on first access and keeps it.
+    among them, fills a block's pathloss, takes its turn at the shadowing
+    draw and runs the consumer on the block (``generate_mr`` ranks it
+    there). A recipe that prunes draws only each row's candidate cells and
+    hands the consumer the rest as ``Undrawn``. ``attenuation`` copies the
+    streamed blocks into the whole matrix on first access, completes every
+    row's undrawn cells from the row's own stream, and keeps it.
     """
 
     def __init__(self, positions: np.ndarray,
@@ -179,8 +192,9 @@ class UserBatch:
 
     def each_block(self, consume) -> None:
         """Call ``consume(lo, hi, att, spare)`` for every row block
-        [lo, hi) of the source matrix; see ``AttenuationRecipe.stream``.
-        An explicit matrix is handed over in slices on the calling thread."""
+        [lo, hi) of the source matrix, with ``undrawn=`` added when the
+        recipe prunes; see ``AttenuationRecipe.stream``. An explicit matrix
+        is handed over in slices on the calling thread."""
         if self._recipe is not None:
             self._recipe.stream(consume)
             return
@@ -194,12 +208,15 @@ class UserBatch:
     @property
     def attenuation(self) -> np.ndarray:
         """The U x n matrix, for a sampled batch copied from the streamed
-        blocks on first access."""
+        blocks, with every undrawn cell completed, on first access."""
         if self._matrix is None:
             full = np.empty((self.source_rows, self.n_antennas))
 
-            def put(lo, hi, att, spare):
+            def put(lo, hi, att, spare, undrawn=None):
                 full[lo:hi] = att
+                if undrawn is not None:
+                    for r in range(hi - lo):
+                        undrawn.complete(r, full[lo + r])
 
             self.each_block(put)
             self._matrix = full if self.pick is None else full[self.pick]
@@ -210,9 +227,10 @@ class UserBatch:
 class AttenuationRecipe:
     """What one period's attenuation matrix is computed from: the users at
     ``positions``, the antenna ``sites``, the pathloss ``model`` and the
-    shadowing stream spawned with key ``(period, 1)`` from ``model.seed``.
-    ``pick`` (None for all) selects the source rows that make a batch
-    rescaled from this period's draw.
+    shadowing streams spawned from ``model.seed``. ``pick`` (None for all)
+    selects the source rows that make a batch rescaled from this period's
+    draw. ``power_box`` is (lowest initial pilot, highest p_max) of the
+    topology, dBm; with it the recipe may prune (see ``margin``).
     """
 
     positions: np.ndarray
@@ -220,6 +238,7 @@ class AttenuationRecipe:
     model: PathlossModel
     period: int
     pick: np.ndarray | None = None
+    power_box: tuple[float, float] | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -228,6 +247,28 @@ class AttenuationRecipe:
 
     def __len__(self) -> int:
         return self.shape[0]
+
+    @property
+    def margin(self) -> float | None:
+        """How far past a row's ``CANDIDATE_RANK``-th smallest pathloss a
+        candidate cell may lie: the power box's span plus twice the clipped
+        shadowing. At any powers inside the box no other cell can then
+        outshine the row's ``CANDIDATE_RANK`` nearest, unless one of those
+        draws a z beyond ``SHADOW_CLIP``. None when the recipe
+        draws every cell: without shadowing or a power box, or when the
+        candidates would not be a minority. About CANDIDATE_RANK *
+        10^(margin / (5 exponent)) antennas of an even layout lie within the
+        margin, so pruning needs n above twice that.
+        """
+        sigma = self.model.shadowing_sigma
+        if self.power_box is None or sigma == 0:
+            return None
+        low, high = self.power_box
+        margin = (high - low) + 2 * SHADOW_CLIP * sigma
+        if (math.log10(len(self.sites) / (2 * CANDIDATE_RANK))
+                <= margin / (5 * self.model.exponent)):
+            return None
+        return margin
 
     def stream(self, consume) -> None:
         """Fill the attenuation of every source row, one row block at a
@@ -239,56 +280,68 @@ class AttenuationRecipe:
 
         the ``PathlossModel`` formula taken from the squared distance,
         operation by operation in the order of the one-shot (U, n) matrix
-        expression and with the same z: each value is bitwise that
-        matrix's, whatever the thread count. ``spare`` is scratch of the
-        same shape the consumer may overwrite; ``att`` it only reads. Once
-        ``consume`` returns, both are reused. Blocks arrive in no fixed
-        order.
+        expression. ``spare`` is scratch of the same shape the consumer may
+        overwrite; ``att`` it only reads. Once ``consume`` returns, both are
+        reused, and so is ``undrawn``'s mask. Blocks arrive in no fixed order.
 
-        Every thread, the calling thread among them, runs the same loop:
-        under one lock it takes the next block and draws that block's z
-        from the sequential shadowing stream into its own shadow plane, so
-        the stream is drawn block by block in order and yields the same
-        numbers as one (U, n) draw. Outside the lock it fills the block and
-        runs the consumer on it. Each thread keeps its own attenuation,
-        spare and shadow planes, so memory stays a few blocks whatever the
-        user count. A thread that raises stops the others at their next
-        turn, and the error reaches the caller. With one worker the calling
-        thread runs the loop alone. numpy's ufuncs and the generator
-        release the GIL, so the threads run at once.
+        Without a ``margin`` every cell's z comes from the stream spawned
+        with key ``(period, 1)``, in row-major order, so each value is
+        bitwise the one-shot matrix's, whatever the thread count. With one,
+        only each row's candidate cells (deterministic pathloss at most
+        ``margin`` above the row's ``CANDIDATE_RANK``-th smallest) take
+        their z from that stream, in row-major order over candidate cells.
+        The other cells hold their deterministic pathloss, and ``consume``
+        gets them as the keyword ``undrawn``, an ``Undrawn`` that completes
+        any row on request.
+
+        Every thread, the calling thread among them, runs the same loop: it
+        takes the next block, fills its pathloss and marks its candidates,
+        then waits for its turn, the block before it drawn, and draws that
+        block's z from the sequential stream. So the stream is drawn block
+        by block in order, as one draw would yield it. It adds sigma*z and
+        runs the consumer. Each thread keeps its own attenuation, spare and
+        shadow planes (and mask planes when pruning), so memory stays a few
+        blocks whatever the user count. A thread that raises stops the
+        others at their next take or turn, and the error reaches the
+        caller. With one worker the calling thread runs the loop alone.
+        numpy's ufuncs and the generator release the GIL, so the threads
+        run at once.
         """
         positions, sites, model = self.positions, self.sites, self.model
         n = len(sites)
         rows = block_rows(n)
         blocks = [(lo, min(lo + rows, len(positions)))
                   for lo in range(0, len(positions), rows)]
-        upcoming = iter(blocks)
+        upcoming = enumerate(blocks)
         workers = max(1, min(_sampling_workers(), len(blocks)))
+        sigma, margin = model.shadowing_sigma, self.margin
         shadow_rng = (np.random.default_rng(
             np.random.SeedSequence(model.seed, spawn_key=(self.period, 1)))
-            if model.shadowing_sigma > 0 else None)
-        # each thread's att, spare and shadow planes; buffers allocated
-        # inside the workers grow per-thread malloc arenas
+            if sigma > 0 else None)
+        # each thread's att, spare and shadow planes, and its candidate and
+        # undrawn masks; buffers allocated inside the workers grow
+        # per-thread malloc arenas
         planes = np.empty((workers, 3, min(rows, len(positions)), n))
+        masks = (np.empty((workers, 2) + planes.shape[2:], bool)
+                 if margin is not None else [None] * workers)
         # 10*exponent*log10(d) taken as 5*exponent*log10(d^2)
         slope = 5.0 * model.exponent
-        turn = threading.Lock()  # guards upcoming, the draw and stopped
+        turn = threading.Condition()  # guards upcoming, drawn and stopped
+        drawn = 0  # blocks whose z is drawn
         stopped = False
 
-        def run(own):
-            """Take, draw, fill and consume blocks until none is left or a
+        def run(own, own_masks):
+            """Take, fill, draw and consume blocks until none is left or a
             thread has failed."""
-            nonlocal stopped
+            nonlocal drawn, stopped
             try:
                 while True:
                     with turn:
                         block = None if stopped else next(upcoming, None)
-                        if block is None:
-                            return
-                        lo, hi = block
-                        att, spare, shadow = own[:, :hi - lo]
-                        if shadow_rng is not None:
-                            shadow_rng.standard_normal(out=shadow)
+                    if block is None:
+                        return
+                    b, (lo, hi) = block
+                    att, spare, shadow = own[:, :hi - lo]
                     np.subtract(positions[lo:hi, 0, None], sites[None, :, 0], out=att)
                     np.subtract(positions[lo:hi, 1, None], sites[None, :, 1], out=spare)
                     np.multiply(att, att, out=att)
@@ -298,20 +351,92 @@ class AttenuationRecipe:
                     np.log10(att, out=att)
                     np.multiply(att, slope, out=att)
                     np.add(att, model.reference_loss, out=att)
+                    if margin is not None:
+                        candidate, outside = own_masks[:, :hi - lo]
+                        cut = _mark_candidates(att, spare, margin, candidate, outside)
+                        shadow = shadow.reshape(-1)[:np.count_nonzero(candidate)]
                     if shadow_rng is not None:
-                        np.multiply(shadow, model.shadowing_sigma, out=shadow)
-                        np.add(att, shadow, out=att)
-                    consume(lo, hi, att, spare)
+                        with turn:
+                            turn.wait_for(lambda: stopped or drawn == b)
+                            if stopped:
+                                return
+                        # no other thread draws until drawn moves on; the
+                        # lock stays free for the next take meanwhile
+                        shadow_rng.standard_normal(out=shadow)
+                        with turn:
+                            drawn += 1
+                            turn.notify_all()
+                        np.multiply(shadow, sigma, out=shadow)
+                        if margin is None:
+                            np.add(att, shadow, out=att)
+                        else:
+                            att[candidate] += shadow
+                    if margin is None:
+                        consume(lo, hi, att, spare)
+                    else:
+                        consume(lo, hi, att, spare,
+                                undrawn=Undrawn(self, lo, outside, cut))
             except BaseException:
-                stopped = True
+                with turn:
+                    stopped = True
+                    turn.notify_all()
                 raise
 
         # the calling thread is one of the workers; with one, no thread starts
         with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-            helpers = [pool.submit(run, own) for own in planes[1:]]
-            run(planes[0])
+            helpers = [pool.submit(run, own, own_masks)
+                       for own, own_masks in zip(planes[1:], masks[1:])]
+            run(planes[0], masks[0])
             for helper in helpers:
                 helper.result()
+
+
+@dataclass(frozen=True, eq=False)
+class Undrawn:
+    """The cells of a streamed block [lo, lo + len(outside)) whose z the
+    period's stream did not draw.
+
+    ``outside`` marks them; they hold their deterministic pathloss, and in
+    row r every one of them lies above ``cut[r]``. Their z is clipped at
+    ``SHADOW_CLIP``, so shadowing lowers their attenuation by at most
+    ``reach`` dB.
+    """
+
+    recipe: AttenuationRecipe
+    lo: int
+    outside: np.ndarray
+    cut: np.ndarray
+
+    @property
+    def reach(self) -> float:
+        return SHADOW_CLIP * self.recipe.model.shadowing_sigma
+
+    def complete(self, r: int, row: np.ndarray) -> None:
+        """Add sigma*z to the undrawn cells of block row r, held in ``row``
+        with the block's values: z drawn from the stream spawned with key
+        ``(period, 2, source row)``, in ascending antenna order, clipped."""
+        cells = self.outside[r]
+        model = self.recipe.model
+        z = np.random.default_rng(np.random.SeedSequence(
+            model.seed, spawn_key=(self.recipe.period, 2, self.lo + int(r)))
+        ).standard_normal(np.count_nonzero(cells))
+        np.clip(z, -SHADOW_CLIP, SHADOW_CLIP, out=z)
+        np.multiply(z, model.shadowing_sigma, out=z)
+        row[cells] += z
+
+
+def _mark_candidates(pathloss: np.ndarray, scratch: np.ndarray, margin: float,
+                     candidate: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    """Mark each row's candidate cells, whose ``pathloss`` is at most
+    ``margin`` above the row's ``CANDIDATE_RANK``-th smallest, in
+    ``candidate`` and the others in ``outside``; ``scratch`` is overwritten.
+    Returns each row's cut: its candidates lie at or below it."""
+    np.copyto(scratch, pathloss)
+    scratch.partition(CANDIDATE_RANK - 1, axis=1)
+    cut = scratch[:, CANDIDATE_RANK - 1] + margin
+    np.less_equal(pathloss, cut[:, None], out=candidate)
+    np.logical_not(candidate, out=outside)
+    return cut
 
 
 def sample_users(scenario: TrafficScenario, model: PathlossModel,
@@ -360,7 +485,9 @@ def sample_users(scenario: TrafficScenario, model: PathlossModel,
     demand = (np.ones(u, dtype=np.int64) if lo == hi == 1
               else rng.integers(lo, hi + 1, size=u, dtype=np.int64))
 
-    recipe = AttenuationRecipe(positions, topo.positions(), model, k)
+    box = (float(topo.initial_powers().min()), float(topo.p_max_vector().max()))
+    recipe = AttenuationRecipe(positions, topo.positions(), model, k,
+                               power_box=box)
     return UserBatch(positions, recipe, demand, k)
 
 

@@ -89,6 +89,11 @@ class TestSpecs:
         with pytest.raises(ConfigError, match=f"no keyword\\(s\\) \\['{key}'\\]"):
             spec_from_dict({"bundle": {"name": name, key: 3}})
 
+    def test_unknown_int_and_str_bundle_keywords_named(self):
+        # a dict from Python may mix key types: they are listed by their text
+        with pytest.raises(ConfigError, match=r"no keyword\(s\) \[5, 'bogus'\]"):
+            spec_from_dict({"bundle": {"name": "random", 5: 1, "bogus": 2}})
+
     def test_bundle_forwards_grid_keywords(self):
         spec = spec_from_dict({"bundle": {"name": "random", "nx": 2, "ny": 2,
                                           "total_users": 100, "prb": 7}})

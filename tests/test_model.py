@@ -13,6 +13,7 @@ from breathenet.model import (
     Antenna,
     ConfigError,
     NetworkTopology,
+    check_keys,
     topology_from_dict,
     topology_to_dict,
     watts_to_dbm,
@@ -148,6 +149,20 @@ class TestTopologySerialization:
         topo = topology_from_dict(d)
         assert topo.antennas[0].p == pytest.approx(30.0)
         assert topo.antennas[0].p_max == pytest.approx(watts_to_dbm(80.0))
+
+    # a dict from Python may mix key types: unknown keys are listed by their
+    # text, not compared with each other
+    def test_unknown_int_and_str_keys_named(self):
+        with pytest.raises(ConfigError,
+                           match=r"^topology: unknown key\(s\) \[5, 'bogus'\]"):
+            check_keys({5: 1, "bogus": 2}, ("a",), "topology")
+
+    def test_unknown_int_and_str_neighbour_keys_named(self):
+        d = topology_to_dict(make_topo(3))
+        d["neighbours"].update({9: [1], "x": [2]})
+        with pytest.raises(ConfigError,
+                           match=r"^neighbours: unknown key\(s\) \[9, 'x'\]"):
+            topology_from_dict(d)
 
     def test_asymmetric_neighbours_rejected(self):
         d = topology_to_dict(make_topo(3, neighbours=[{2, 3}, {1}, set()]))

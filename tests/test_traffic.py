@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from breathenet import traffic
 from breathenet.model import Antenna, ConfigError, NetworkTopology
 from breathenet.mrdata import generate_mr
+from breathenet.synth import grid_topology
 from breathenet.traffic import (
     AttenuationRecipe,
     Hotspot,
@@ -694,6 +696,214 @@ class TestStreamedRanking:
             tracemalloc.stop()
         assert len(mr) == 20000
         assert peak < 16 * 2**20, peak / 2**20
+
+
+def pruned_attenuation(positions, sites, model, k, margin):
+    """The attenuation of a pruning recipe, written out for every pair at
+    once, and each cell's candidacy: candidate z from the (k, 1) stream in
+    row-major order over the candidate cells, any other cell's z from its
+    row's (k, 2, row) stream in ascending antenna order, clipped."""
+    pathloss = unblocked_attenuation(positions, sites,
+                                     PathlossModel(model.exponent,
+                                                   model.reference_loss, 0.0),
+                                     k)
+    rank = traffic.CANDIDATE_RANK
+    cut = np.partition(pathloss, rank - 1, axis=1)[:, rank - 1] + margin
+    candidate = pathloss <= cut[:, None]
+    z = np.empty_like(pathloss)
+    z[candidate] = np.random.default_rng(np.random.SeedSequence(
+        model.seed, spawn_key=(k, 1))).standard_normal(np.count_nonzero(candidate))
+    for r, row in enumerate(candidate):
+        z[r, ~row] = np.random.default_rng(np.random.SeedSequence(
+            model.seed, spawn_key=(k, 2, r))).standard_normal(np.count_nonzero(~row))
+    np.clip(z, -traffic.SHADOW_CLIP, traffic.SHADOW_CLIP, out=z, where=~candidate)
+    return pathloss + model.shadowing_sigma * z, candidate
+
+
+class TestCandidateDraw:
+    """Above the gate a recipe draws the period's stream only for each row's
+    candidate cells, and generate_mr ranks any row an undrawn cell might
+    enter in full. Under every worker count the batch must be bitwise the
+    brute-force fill that applies the same z definition to every pair."""
+
+    # 256 antennas: above the gate at sigma 2
+    GRID = grid_topology(16, 16, spacing=300.0)
+    LINE = line_topo(1000, spacing=30.0)
+    MODEL = PathlossModel(seed=4)
+
+    def world(self, topo, blocks=3):
+        users = blocks * block_rows(topo.n) + 7
+        sites = topo.positions()
+        centre = tuple(sites.mean(axis=0))
+        spread = float(np.ptp(sites, axis=0).max()) / 3
+        scenario = one_period(users, [Hotspot(centre, 1.0, spread)], seed=9)
+        return scenario, sites
+
+    def sample(self, topo, blocks=3, model=MODEL):
+        scenario, sites = self.world(topo, blocks)
+        batch = sample_users(scenario, model, topo, 1)
+        margin = batch._recipe.margin
+        assert margin is not None
+        return batch, pruned_attenuation(batch.positions, sites, model, 1, margin)
+
+    @staticmethod
+    def count_completed(monkeypatch):
+        """Count the rows ``Undrawn.complete`` completes, on any thread."""
+        completed = []
+        complete = traffic.Undrawn.complete
+
+        def counting(self, r, row):
+            completed.append(r)
+            complete(self, r, row)
+
+        monkeypatch.setattr(traffic.Undrawn, "complete", counting)
+        return completed
+
+    @pytest.mark.parametrize("side, sigma, box, pruned", [
+        (16, 2.0, (43.0, 49.0), True),
+        (14, 2.0, (43.0, 49.0), False),  # 196 antennas: under the gate
+        (16, 0.0, (43.0, 49.0), False),
+        (16, 2.0, None, False),
+        (16, 2.0, (30.0, 49.0), False),  # a wide box widens the margin
+    ])
+    def test_the_gate(self, side, sigma, box, pruned):
+        sites = grid_topology(side, side).positions()
+        recipe = AttenuationRecipe(np.zeros((1, 2)), sites,
+                                   PathlossModel(shadowing_sigma=sigma), 1,
+                                   power_box=box)
+        assert (recipe.margin is not None) == pruned
+
+    @pytest.mark.parametrize("topo", [GRID, LINE], ids=["grid", "line"])
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_ranks_as_the_brute_force_fill(self, monkeypatch, topo, workers):
+        monkeypatch.setattr(traffic, "_sampling_workers", lambda: workers)
+        completed = self.count_completed(monkeypatch)
+        batch, (att, candidate) = self.sample(topo)
+        rng = np.random.default_rng(workers)
+        p_max = topo.p_max_vector()
+        for where, powers in [("initial", topo.initial_powers()),
+                              ("box", rng.uniform(43.0, p_max)),
+                              ("below", rng.uniform(0.0, p_max))]:
+            completed.clear()
+            for top_m in (1, 6, 8):
+                want_ids, want_vals = TestStreamedRanking.ranked(att, powers, top_m)
+                got = generate_mr(batch, powers, top_m)
+                assert np.array_equal(got.ids, want_ids), (where, top_m)
+                assert np.array_equal(got.values, want_vals), (where, top_m)
+            # inside the box no row of this world needs its undrawn cells;
+            # far below it some rows must be ranked in full
+            assert bool(completed) == (where == "below"), where
+        if topo is self.GRID:
+            # on a plane the gate admits networks where candidates are a
+            # minority; users far off a line see most of it within the margin
+            assert candidate.sum() < candidate.size / 2
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_matrix_and_assignment_are_the_brute_force_fill(self, monkeypatch,
+                                                            workers):
+        monkeypatch.setattr(traffic, "_sampling_workers", lambda: workers)
+        batch, (att, _) = self.sample(self.GRID)
+        powers = np.random.default_rng(3).uniform(43.0, 49.0, self.GRID.n)
+        serving = generate_mr(batch, powers).serving()
+        assert np.array_equal(batch.attenuation, att)
+        assert np.array_equal(assign_users(batch, powers), serving)
+
+    def test_proportional_rescale(self):
+        scenario, sites = self.world(self.GRID)
+        [base_period] = scenario.periods
+        later_period = replace(base_period,
+                               total_users=2 * base_period.total_users + 5)
+        scenario = replace(scenario, mode="proportional",
+                           periods=(base_period, later_period))
+        base = sample_users(scenario, self.MODEL, self.GRID, 1)
+        att, _ = pruned_attenuation(base.positions, sites, self.MODEL, 1,
+                                    base._recipe.margin)
+        later = sample_users(scenario, self.MODEL, self.GRID, 2)
+        powers = np.random.default_rng(5).uniform(0.0, 49.0, self.GRID.n)
+        want_ids, want_vals = TestStreamedRanking.ranked(att[later.pick], powers, 6)
+        got = generate_mr(later, powers)
+        assert np.array_equal(got.ids, want_ids)
+        assert np.array_equal(got.values, want_vals)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(top_m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           # every such world stays above the gate
+           sigma=st.floats(0.5, 1.5), exponent=st.floats(3.5, 4.5),
+           low=st.sampled_from([0.0, 43.0]))
+    def test_no_undrawn_cell_beats_a_listed_entry(self, top_m, seed, sigma,
+                                                  exponent, low):
+        model = PathlossModel(exponent=exponent, shadowing_sigma=sigma, seed=seed)
+        batch, (att, candidate) = self.sample(self.GRID, blocks=1, model=model)
+        powers = np.random.default_rng(seed).uniform(low, 49.0, self.GRID.n)
+        got = generate_mr(batch, powers, top_m)
+        v = powers - att
+        cols = got.ids.astype(np.int64) - 1
+        assert np.array_equal(np.take_along_axis(v, cols, axis=1), got.values)
+        last_v, last_id = got.values[:, -1:], cols[:, -1:]
+        listed = np.zeros(v.shape, bool)
+        np.put_along_axis(listed, cols, True, axis=1)
+        beats = (v > last_v) | ((v == last_v) & (np.arange(self.GRID.n) < last_id))
+        assert not (beats & ~candidate & ~listed).any()
+
+    # each failure point: (the step that raises, which call of it raises)
+    FAILURES = {"geometry": ("_mark_candidates", 2), "draw": ("draw", 2),
+                "consumer": ("consume", 2)}
+
+    @at_each_worker_count("failure", FAILURES)
+    def test_a_failure_is_raised_and_frees_every_worker(self, monkeypatch,
+                                                        workers, failure):
+        step, fail_at = failure
+        monkeypatch.setattr(traffic, "_sampling_workers", lambda: workers)
+        batch, _ = self.sample(self.GRID, blocks=6)
+        calls = []
+        guard = threading.Lock()
+
+        def counted():
+            with guard:
+                calls.append(None)
+                return len(calls)
+
+        real_rng = np.random.default_rng
+        if step == "draw":
+            monkeypatch.setattr(np.random, "default_rng", lambda seed: (
+                FailingDraw(real_rng(seed), fail_at) if seed.spawn_key == (1, 1)
+                else real_rng(seed)))
+        elif step == "_mark_candidates":
+            mark = traffic._mark_candidates
+
+            def failing_mark(*args):
+                if counted() == fail_at:
+                    raise RuntimeError("_mark_candidates failed")
+                return mark(*args)
+
+            monkeypatch.setattr(traffic, "_mark_candidates", failing_mark)
+
+        def consume(lo, hi, att, spare, undrawn):
+            if step == "consume" and counted() == fail_at:
+                raise RuntimeError("consume failed")
+
+        got = in_time(lambda: batch.each_block(consume))
+        assert isinstance(got, RuntimeError)
+        assert str(got) == ("shadowing draw failed" if step == "draw"
+                            else f"{step} failed")
+
+    def test_more_workers_than_cores_under_a_short_switch_interval(
+            self, monkeypatch):
+        workers = min((os.cpu_count() or 1) + 1, 8)
+        monkeypatch.setattr(traffic, "_sampling_workers", lambda: workers)
+        batch, (att, _) = self.sample(self.GRID, blocks=2 * workers + 1)
+        powers = self.GRID.initial_powers()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = in_time(lambda: generate_mr(batch, powers))
+            matrix = in_time(lambda: batch.attenuation)
+        finally:
+            sys.setswitchinterval(interval)
+        want_ids, want_vals = TestStreamedRanking.ranked(att, powers, 6)
+        assert np.array_equal(got.ids, want_ids)
+        assert np.array_equal(got.values, want_vals)
+        assert np.array_equal(matrix, att)
 
 
 class TestPathlossFidelity:
