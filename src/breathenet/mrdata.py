@@ -171,8 +171,7 @@ def generate_mr(users: UserBatch, powers: np.ndarray, top_m: int = 6) -> MrDatas
             rows = unsettled(att, spare, part, undrawn)
             if rows.size:
                 full = att[rows]
-                for row, r in zip(full, rows):
-                    undrawn.complete(r, row)
+                undrawn.complete(rows, full)
                 record(lo + rows, full, strongest(full - powers))
 
     users.each_block(rank)

@@ -215,8 +215,7 @@ class UserBatch:
             def put(lo, hi, att, spare, undrawn=None):
                 full[lo:hi] = att
                 if undrawn is not None:
-                    for r in range(hi - lo):
-                        undrawn.complete(r, full[lo + r])
+                    undrawn.complete(np.arange(hi - lo), full[lo:hi])
 
             self.each_block(put)
             self._matrix = full if self.pick is None else full[self.pick]
@@ -227,18 +226,19 @@ class UserBatch:
 class AttenuationRecipe:
     """What one period's attenuation matrix is computed from: the users at
     ``positions``, the antenna ``sites``, the pathloss ``model`` and the
-    shadowing streams spawned from ``model.seed``. ``pick`` (None for all)
+    shadowing streams spawned from ``model.seed``. ``power_box`` is
+    (lowest initial pilot, highest p_max) of the topology, dBm; it sets how
+    far the recipe may prune (see ``margin``). ``pick`` (None for all)
     selects the source rows that make a batch rescaled from this period's
-    draw. ``power_box`` is (lowest initial pilot, highest p_max) of the
-    topology, dBm; with it the recipe may prune (see ``margin``).
+    draw.
     """
 
     positions: np.ndarray
     sites: np.ndarray
     model: PathlossModel
     period: int
+    power_box: tuple[float, float]
     pick: np.ndarray | None = None
-    power_box: tuple[float, float] | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -255,13 +255,13 @@ class AttenuationRecipe:
         shadowing. At any powers inside the box no other cell can then
         outshine the row's ``CANDIDATE_RANK`` nearest, unless one of those
         draws a z beyond ``SHADOW_CLIP``. None when the recipe
-        draws every cell: without shadowing or a power box, or when the
-        candidates would not be a minority. About CANDIDATE_RANK *
-        10^(margin / (5 exponent)) antennas of an even layout lie within the
-        margin, so pruning needs n above twice that.
+        draws every cell: without shadowing, or when the candidates would
+        not be a minority. About CANDIDATE_RANK * 10^(margin / (5 exponent))
+        antennas of an even layout lie within the margin, so pruning needs n
+        above twice that.
         """
         sigma = self.model.shadowing_sigma
-        if self.power_box is None or sigma == 0:
+        if sigma == 0:
             return None
         low, high = self.power_box
         margin = (high - low) + 2 * SHADOW_CLIP * sigma
@@ -411,18 +411,25 @@ class Undrawn:
     def reach(self) -> float:
         return SHADOW_CLIP * self.recipe.model.shadowing_sigma
 
-    def complete(self, r: int, row: np.ndarray) -> None:
-        """Add sigma*z to the undrawn cells of block row r, held in ``row``
-        with the block's values: z drawn from the stream spawned with key
-        ``(period, 2, source row)``, in ascending antenna order, clipped."""
-        cells = self.outside[r]
-        model = self.recipe.model
-        z = np.random.default_rng(np.random.SeedSequence(
-            model.seed, spawn_key=(self.recipe.period, 2, self.lo + int(r)))
-        ).standard_normal(np.count_nonzero(cells))
+    def complete(self, rows: np.ndarray, held: np.ndarray) -> None:
+        """Add sigma*z to the undrawn cells of the block rows ``rows``, held
+        in ``held`` (one row each, with the block's values). Row r's z comes
+        from the stream spawned with key ``(period, 2, source row)``, in
+        ascending antenna order, clipped. Only the seeding runs row by row;
+        the rows' values are drawn into one buffer and added at once."""
+        cells = self.outside[rows]
+        counts = np.count_nonzero(cells, axis=1)
+        model, period = self.recipe.model, self.recipe.period
+        z = np.empty(int(counts.sum()))
+        start = 0
+        for r, count in zip(rows.tolist(), counts.tolist()):
+            np.random.default_rng(np.random.SeedSequence(
+                model.seed, spawn_key=(period, 2, self.lo + r))
+            ).standard_normal(out=z[start:start + count])
+            start += count
         np.clip(z, -SHADOW_CLIP, SHADOW_CLIP, out=z)
         np.multiply(z, model.shadowing_sigma, out=z)
-        row[cells] += z
+        held[cells] += z
 
 
 def _mark_candidates(pathloss: np.ndarray, scratch: np.ndarray, margin: float,

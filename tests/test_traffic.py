@@ -648,7 +648,8 @@ class TestStreamedRanking:
                      rng.uniform(-1e-9, 1e-9, users))
         positions = np.column_stack([x, rng.uniform(-4000.0, 4000.0, users)])
         model = PathlossModel(exponent=3.1, shadowing_sigma=0.0, seed=1)
-        batch = UserBatch(positions, AttenuationRecipe(positions, sites, model, 1),
+        batch = UserBatch(positions,
+                          AttenuationRecipe(positions, sites, model, 1, (43.0, 49.0)),
                           np.ones(users, np.int64), 1)
         return batch, unblocked_attenuation(positions, sites, model, 1)
 
@@ -752,9 +753,9 @@ class TestCandidateDraw:
         completed = []
         complete = traffic.Undrawn.complete
 
-        def counting(self, r, row):
-            completed.append(r)
-            complete(self, r, row)
+        def counting(self, rows, held):
+            completed.extend(rows)
+            complete(self, rows, held)
 
         monkeypatch.setattr(traffic.Undrawn, "complete", counting)
         return completed
@@ -763,14 +764,12 @@ class TestCandidateDraw:
         (16, 2.0, (43.0, 49.0), True),
         (14, 2.0, (43.0, 49.0), False),  # 196 antennas: under the gate
         (16, 0.0, (43.0, 49.0), False),
-        (16, 2.0, None, False),
         (16, 2.0, (30.0, 49.0), False),  # a wide box widens the margin
     ])
     def test_the_gate(self, side, sigma, box, pruned):
         sites = grid_topology(side, side).positions()
         recipe = AttenuationRecipe(np.zeros((1, 2)), sites,
-                                   PathlossModel(shadowing_sigma=sigma), 1,
-                                   power_box=box)
+                                   PathlossModel(shadowing_sigma=sigma), 1, box)
         assert (recipe.margin is not None) == pruned
 
     @pytest.mark.parametrize("topo", [GRID, LINE], ids=["grid", "line"])
@@ -924,7 +923,7 @@ class TestPathlossFidelity:
         model = PathlossModel(exponent=exponent, reference_loss=reference_loss,
                               shadowing_sigma=sigma, seed=seed)
         got = []
-        AttenuationRecipe(user, sites, model, 1).stream(
+        AttenuationRecipe(user, sites, model, 1, (43.0, 49.0)).stream(
             lambda lo, hi, att, spare: got.append(att.copy()))
         [att] = got
         z = np.random.default_rng(
