@@ -142,6 +142,10 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     if not isinstance(overrides, dict):
         raise ConfigError(f"spec: cfg {overrides!r} is not an object of "
                           "AlgorithmConfig fields")
+    # keyword arguments must be strings; a dict built in Python may hold others
+    bad = [key for key in overrides if not isinstance(key, str)]
+    if bad:
+        raise ConfigError(f"spec: cfg key(s) {bad!r} are not strings")
     cfg = AlgorithmConfig().with_overrides(**overrides)
     return ExperimentSpec(
         topo=topo, pathloss=pathloss, scenario=scenario, cfg=cfg,

@@ -112,7 +112,11 @@ def generate_mr(users: UserBatch, powers: np.ndarray, top_m: int = 6) -> MrDatas
     ``reach``. That is checked first against the row's cut and the highest
     power, then cell by cell for the rows that fail it. Every other row has
     its undrawn cells completed and is ranked in full, so each record is
-    that of the whole matrix, at any powers.
+    that of the whole matrix, at any powers. A part of indexed rows holds
+    each row over its bucket's sites, ``undrawn.columns``: its partition
+    positions are mapped to those antenna ids before the id tie-break, its
+    powers are read through them, and the pathloss of a row's other
+    antennas is computed only for the rows the cell-by-cell check takes.
     """
     if top_m < 1:
         raise ValueError("top_m must be at least 1")
@@ -125,54 +129,72 @@ def generate_mr(users: UserBatch, powers: np.ndarray, top_m: int = 6) -> MrDatas
     ids = np.empty((users.source_rows, m), np.int32)
     vals = np.empty((users.source_rows, m))
     top = powers.max(initial=-np.inf)
+    # by column id, with a pad column's power: its attenuation is +inf
+    padded = np.append(powers, 0.0)
 
-    def strongest(spare):
-        """The columns of each row's m smallest cells of ``spare``."""
-        if m == n:
+    def strongest(spare, r):
+        """The columns of each row's m smallest cells of ``spare``; ``r``
+        numbers its rows, as a column."""
+        if m == spare.shape[1]:
             return np.broadcast_to(every, spare.shape)
         ranked = np.argpartition(spare, m, axis=1)
         part = ranked[:, :m]
-        gap = (np.take_along_axis(spare, ranked[:, m:m + 1], axis=1)[:, 0]
-               - np.take_along_axis(spare, part, axis=1).max(axis=1))
+        with np.errstate(invalid="ignore"):  # inf - inf: undrawn at the cut
+            gap = spare[r[:, 0], ranked[:, m]] - spare[r, part].max(axis=1)
         tied = np.flatnonzero(~(gap > 0))  # a NaN gap sorts too
         if tied.size:
             part[tied] = np.argsort(spare[tied], axis=1, kind="stable")[:, :m]
         return part
 
-    def record(rows, att, part):
-        v = powers[part] - np.take_along_axis(att, part, axis=1)
-        order = np.lexsort((part, -v), axis=1)
-        ids[rows] = np.take_along_axis(part, order, axis=1) + 1
-        vals[rows] = np.take_along_axis(v, order, axis=1)
+    def record(rows, att, part, r, columns=None):
+        # the antenna ids of the listed columns, before the id tie-break
+        at = part if columns is None else columns[r, part]
+        v = padded[at] - att[r, part]
+        order = np.lexsort((at, -v), axis=1)
+        ids[rows] = at[r, order] + 1
+        vals[rows] = v[r, order]
 
-    def unsettled(att, spare, part, undrawn):
-        """The rows an undrawn cell might enter: where the m-th listed
-        attenuation - powers is not below the least an undrawn cell can
-        take, its pathloss less ``reach`` minus its power."""
-        worst = np.take_along_axis(spare, part, axis=1).max(axis=1)
+    def settle(att, worst, undrawn):
+        """Complete and rank in full the rows an undrawn cell might enter:
+        where the m-th listed attenuation - powers, ``worst``, is not below
+        the least an undrawn cell can take, its pathloss less ``reach``
+        minus its power."""
         # an undrawn cell's pathloss lies above its row's cut and its power
         # is at most top; rounding is monotone, so both bounds hold in floats
         rows = np.flatnonzero(~(worst < undrawn.cut - undrawn.reach - top))
-        if rows.size:
-            least = np.min(att[rows] - undrawn.reach - powers, axis=1,
-                           where=undrawn.outside[rows], initial=np.inf)
-            rows = rows[~(worst[rows] < least)]
-        return rows
+        if not rows.size:
+            return
+        held = undrawn.held(rows, att)
+        least = np.min(held - undrawn.reach - powers, axis=1,
+                       where=undrawn.cells(rows), initial=np.inf)
+        enters = ~(worst[rows] < least)
+        if enters.any():
+            rows, held = rows[enters], held[enters]
+            undrawn.complete(rows, held)
+            r = np.arange(len(rows))[:, None]
+            record(undrawn.rows[rows], held, strongest(held - powers, r), r)
 
     def rank(lo, hi, att, spare, undrawn=None):
+        columns = None if undrawn is None else undrawn.columns
+        r = np.arange(len(att))[:, None]
         # attenuation - powers is exactly -(powers - attenuation): IEEE
         # subtraction rounds symmetrically
-        np.subtract(att, powers, out=spare)
-        if undrawn is not None:
-            np.copyto(spare, np.inf, where=undrawn.outside)
-        part = strongest(spare)
-        record(slice(lo, hi), att, part)
-        if undrawn is not None:
-            rows = unsettled(att, spare, part, undrawn)
-            if rows.size:
-                full = att[rows]
-                undrawn.complete(rows, full)
-                record(lo + rows, full, strongest(full - powers))
+        if columns is None:
+            np.subtract(att, powers, out=spare)
+        else:
+            np.take(padded, columns, out=spare, mode="clip")
+            np.subtract(att, spare, out=spare)
+        if undrawn is None:
+            record(slice(lo, hi), att, strongest(spare, r), r)
+            return
+        np.copyto(spare, np.inf, where=undrawn.outside)
+        if columns is None or m < columns.shape[1]:
+            part = strongest(spare, r)
+            record(undrawn.rows, att, part, r, columns)
+            worst = spare[r, part].max(axis=1)
+        else:  # a list as long as the columns reaches an undrawn cell
+            worst = np.full(len(att), np.inf)
+        settle(att, worst, undrawn)
 
     users.each_block(rank)
     if users.pick is not None:

@@ -3,6 +3,7 @@ pathloss with frozen shadowing, and strongest-pilot user assignment."""
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -23,10 +24,11 @@ BLOCK_ELEMENTS = 1 << 17
 # one among them, fills a block's pathloss, takes its turn at the sequential
 # shadowing stream, then hands the block on (to the MR ranking, say). The
 # draws run one at a time, in block order. Measured serially on one grid-2k
-# period (2-core x86), the candidate draw (see CANDIDATE_RANK) is about 10%
-# of a generate_mr pass and the pathloss with its candidate marking about
-# 60%, so the turns seldom wait; a dense draw costs 12-15 ns per cell and,
-# from three threads on, sets the pace.
+# period (2-core x86), the candidate draw (see CANDIDATE_RANK) takes about
+# 0.09 s of a 0.49 s generate_mr pass, the site index (see SiteIndex)
+# having cut the pathloss and candidate marking to 14M of 60M cells, so the
+# turns still seldom wait; a dense draw costs 12-15 ns per cell and, from
+# three threads on, sets the pace.
 MAX_SAMPLING_WORKERS = 3
 
 # A row's candidate cells are the antennas whose deterministic pathloss lies
@@ -37,6 +39,15 @@ MAX_SAMPLING_WORKERS = 3
 # SHADOW_CLIP * sigma dB.
 CANDIDATE_RANK = 6
 SHADOW_CLIP = 4.0
+
+# The pruned fill finds each row's candidates through a bucket index of the
+# sites (see SiteIndex): squares of side INDEX_SIDE * sqrt(bbox area / n).
+# A row whose bucket's superset lists at most n // INDEX_SHARE sites is
+# computed and ranked on those sites alone; INDEX_SLACK widens each
+# superset's radius against rounding.
+INDEX_SIDE = 0.5
+INDEX_SHARE = 8
+INDEX_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -155,8 +166,10 @@ class UserBatch:
     among them, fills a block's pathloss, takes its turn at the shadowing
     draw and runs the consumer on the block (``generate_mr`` ranks it
     there). A recipe that prunes draws only each row's candidate cells and
-    hands the consumer the rest as ``Undrawn``. ``attenuation`` copies the
-    streamed blocks into the whole matrix on first access, completes every
+    hands the consumer the rest as ``Undrawn``; a row whose bucket of the
+    site index is indexed comes over its bucket's sites only.
+    ``attenuation`` copies the streamed blocks into the whole matrix on
+    first access, computes every indexed row's other cells, completes every
     row's undrawn cells from the row's own stream, and keeps it.
     """
 
@@ -193,7 +206,8 @@ class UserBatch:
     def each_block(self, consume) -> None:
         """Call ``consume(lo, hi, att, spare)`` for every row block
         [lo, hi) of the source matrix, with ``undrawn=`` added when the
-        recipe prunes; see ``AttenuationRecipe.stream``. An explicit matrix
+        recipe prunes, once for each part of a block; see
+        ``AttenuationRecipe.stream``. An explicit matrix
         is handed over in slices on the calling thread."""
         if self._recipe is not None:
             self._recipe.stream(consume)
@@ -213,9 +227,13 @@ class UserBatch:
             full = np.empty((self.source_rows, self.n_antennas))
 
             def put(lo, hi, att, spare, undrawn=None):
-                full[lo:hi] = att
-                if undrawn is not None:
-                    undrawn.complete(np.arange(hi - lo), full[lo:hi])
+                if undrawn is None:
+                    full[lo:hi] = att
+                    return
+                every = np.arange(len(att))
+                held = undrawn.held(every, att)
+                undrawn.complete(every, held)
+                full[undrawn.rows] = held
 
             self.each_block(put)
             self._matrix = full if self.pick is None else full[self.pick]
@@ -282,17 +300,31 @@ class AttenuationRecipe:
         operation by operation in the order of the one-shot (U, n) matrix
         expression. ``spare`` is scratch of the same shape the consumer may
         overwrite; ``att`` it only reads. Once ``consume`` returns, both are
-        reused, and so is ``undrawn``'s mask. Blocks arrive in no fixed order.
+        reused, and so are ``undrawn``'s mask and columns. Blocks arrive in
+        no fixed order.
 
         Without a ``margin`` every cell's z comes from the stream spawned
         with key ``(period, 1)``, in row-major order, so each value is
         bitwise the one-shot matrix's, whatever the thread count. With one,
         only each row's candidate cells (deterministic pathloss at most
         ``margin`` above the row's ``CANDIDATE_RANK``-th smallest) take
-        their z from that stream, in row-major order over candidate cells.
-        The other cells hold their deterministic pathloss, and ``consume``
-        gets them as the keyword ``undrawn``, an ``Undrawn`` that completes
-        any row on request.
+        their z from that stream, in row-major order over candidate cells,
+        in source-row order. The other cells hold their deterministic
+        pathloss, and ``consume`` gets them as the keyword ``undrawn``, an
+        ``Undrawn`` that completes any row on request.
+
+        A pruned fill looks each row up in the sites' ``SiteIndex``. When
+        most rows' buckets are indexed, the blocks are cut by cost, an
+        indexed row counting the widest bucket's sites and any other row n
+        cells, so that no block holds more cells than a block of full
+        rows. A
+        block's indexed rows then reach ``consume`` as one part: ``att``
+        holds them (``undrawn.rows``) over their bucket's sites only
+        (``undrawn.columns``), and their cut and candidates are bitwise
+        those of the full rows. The block's other rows follow as a second
+        part over every antenna; ``lo`` and ``hi`` stay the block's.
+        Otherwise every row keeps its full width, and each block is one
+        part.
 
         Every thread, the calling thread among them, runs the same loop: it
         takes the next block, fills its pathloss and marks its candidates,
@@ -300,37 +332,82 @@ class AttenuationRecipe:
         block's z from the sequential stream. So the stream is drawn block
         by block in order, as one draw would yield it. It adds sigma*z and
         runs the consumer. Each thread keeps its own attenuation, spare and
-        shadow planes (and mask planes when pruning), so memory stays a few
-        blocks whatever the user count. A thread that raises stops the
-        others at their next take or turn, and the error reaches the
-        caller. With one worker the calling thread runs the loop alone.
-        numpy's ufuncs and the generator release the GIL, so the threads
-        run at once.
+        shadow planes (and mask planes when pruning), which a block's parts
+        share, so memory stays a few blocks whatever the user count. A
+        thread that raises stops the others at their next take or turn,
+        and the error reaches the caller. With one worker the calling
+        thread runs the loop alone. numpy's ufuncs and the generator
+        release the GIL, so the threads run at once.
         """
         positions, sites, model = self.positions, self.sites, self.model
         n = len(sites)
         rows = block_rows(n)
-        blocks = [(lo, min(lo + rows, len(positions)))
-                  for lo in range(0, len(positions), rows)]
+        sigma, margin = model.shadowing_sigma, self.margin
+        index, slots = (_indexed_rows(positions, sites, margin, model.exponent)
+                        if margin is not None else (None, None))
+        if slots is not None:
+            # a block holds as many cells as a block of full rows
+            blocks = _blocks_by_cost(
+                np.where(slots >= 0, index.width, n), rows * n)
+        else:
+            blocks = [(lo, min(lo + rows, len(positions)))
+                      for lo in range(0, len(positions), rows)]
         upcoming = enumerate(blocks)
         workers = max(1, min(_sampling_workers(), len(blocks)))
-        sigma, margin = model.shadowing_sigma, self.margin
         shadow_rng = (np.random.default_rng(
             np.random.SeedSequence(model.seed, spawn_key=(self.period, 1)))
             if sigma > 0 else None)
-        # each thread's att, spare and shadow planes, and its candidate and
-        # undrawn masks; buffers allocated inside the workers grow
-        # per-thread malloc arenas
-        planes = np.empty((workers, 3, min(rows, len(positions)), n))
-        masks = (np.empty((workers, 2) + planes.shape[2:], bool)
+        # each thread's att, spare and shadow planes, its candidate and
+        # undrawn masks, and its indexed rows' columns, flat so that a
+        # block's parts can share them; buffers allocated inside the workers
+        # grow per-thread malloc arenas
+        planes = np.empty((workers, 3, min(rows, len(positions)) * n))
+        masks = (np.empty((workers, 2, planes.shape[2]), bool)
                  if margin is not None else [None] * workers)
-        # 10*exponent*log10(d) taken as 5*exponent*log10(d^2)
-        slope = 5.0 * model.exponent
+        tables = (np.empty((workers, planes.shape[2]), index.ids.dtype)
+                  if slots is not None else [None] * workers)
         turn = threading.Condition()  # guards upcoming, drawn and stopped
         drawn = 0  # blocks whose z is drawn
         stopped = False
 
-        def run(own, own_masks):
+        def parts_of(lo, hi, own, own_masks, own_table):
+            """The parts of block [lo, hi), pathloss filled and candidates
+            marked, each as (att, spare, candidate, undrawn)."""
+            slot = None if slots is None else slots[lo:hi]
+            near = [] if slot is None else np.flatnonzero(slot >= 0)
+            if not len(near):
+                groups = [(np.arange(lo, hi), None)]
+            else:
+                far = np.flatnonzero(slot < 0)
+                width = index.sizes(slot[near]).max()
+                columns = index.columns(slot[near], own_table[
+                    :near.size * width].reshape(near.size, width))
+                groups = [(lo + near, columns)]
+                if far.size:
+                    groups.append((lo + far, None))
+            parts, offset = [], 0
+            for src, columns in groups:
+                x, y = positions[src, 0, None], positions[src, 1, None]
+                shape = (len(src), n if columns is None else columns.shape[1])
+                end = offset + shape[0] * shape[1]
+                att, spare = (p[offset:end].reshape(shape) for p in own[:2])
+                candidate, outside = (m[offset:end].reshape(shape)
+                                      for m in own_masks)
+                if columns is None:
+                    _pathloss(x, y, sites[None, :, 0], sites[None, :, 1],
+                              model, att, spare)
+                else:
+                    # "clip": with "raise" take fills a temporary first
+                    np.take(index.x, columns, out=att, mode="clip")
+                    np.take(index.y, columns, out=spare, mode="clip")
+                    _pathloss(x, y, att, spare, model, att, spare)
+                cut = _mark_candidates(att, spare, margin, candidate, outside)
+                parts.append((att, spare, candidate,
+                              Undrawn(self, src, outside, cut, columns)))
+                offset = end
+            return parts
+
+        def run(own, own_masks, own_table):
             """Take, fill, draw and consume blocks until none is left or a
             thread has failed."""
             nonlocal drawn, stopped
@@ -341,41 +418,47 @@ class AttenuationRecipe:
                     if block is None:
                         return
                     b, (lo, hi) = block
-                    att, spare, shadow = own[:, :hi - lo]
-                    np.subtract(positions[lo:hi, 0, None], sites[None, :, 0], out=att)
-                    np.subtract(positions[lo:hi, 1, None], sites[None, :, 1], out=spare)
-                    np.multiply(att, att, out=att)
-                    np.multiply(spare, spare, out=spare)
-                    np.add(att, spare, out=att)
-                    np.maximum(att, 1.0, out=att)
-                    np.log10(att, out=att)
-                    np.multiply(att, slope, out=att)
-                    np.add(att, model.reference_loss, out=att)
-                    if margin is not None:
-                        candidate, outside = own_masks[:, :hi - lo]
-                        cut = _mark_candidates(att, spare, margin, candidate, outside)
-                        shadow = shadow.reshape(-1)[:np.count_nonzero(candidate)]
+                    if margin is None:
+                        att, spare = (p[:(hi - lo) * n].reshape(hi - lo, n)
+                                      for p in own[:2])
+                        _pathloss(positions[lo:hi, 0, None],
+                                  positions[lo:hi, 1, None], sites[None, :, 0],
+                                  sites[None, :, 1], model, att, spare)
+                        cells = att.size
+                    else:
+                        parts = parts_of(lo, hi, own, own_masks, own_table)
+                        sizes = [np.count_nonzero(candidate)
+                                 for _, _, candidate, _ in parts]
+                        cells = sum(sizes)
                     if shadow_rng is not None:
+                        shadow = own[2][:cells]
+                        runs = ([shadow] if margin is None or len(parts) == 1
+                                else [shadow[run] for run
+                                      in _stream_runs(lo, hi, parts, sizes)])
                         with turn:
                             turn.wait_for(lambda: stopped or drawn == b)
                             if stopped:
                                 return
                         # no other thread draws until drawn moves on; the
                         # lock stays free for the next take meanwhile
-                        shadow_rng.standard_normal(out=shadow)
+                        for run in runs:
+                            shadow_rng.standard_normal(out=run)
                         with turn:
                             drawn += 1
                             turn.notify_all()
                         np.multiply(shadow, sigma, out=shadow)
                         if margin is None:
-                            np.add(att, shadow, out=att)
+                            np.add(att, shadow.reshape(att.shape), out=att)
                         else:
-                            att[candidate] += shadow
+                            start = 0
+                            for (att, _, candidate, _), size in zip(parts, sizes):
+                                att[candidate] += shadow[start:start + size]
+                                start += size
                     if margin is None:
                         consume(lo, hi, att, spare)
                     else:
-                        consume(lo, hi, att, spare,
-                                undrawn=Undrawn(self, lo, outside, cut))
+                        for att, spare, _, undrawn in parts:
+                            consume(lo, hi, att, spare, undrawn=undrawn)
             except BaseException:
                 with turn:
                     stopped = True
@@ -384,52 +467,135 @@ class AttenuationRecipe:
 
         # the calling thread is one of the workers; with one, no thread starts
         with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-            helpers = [pool.submit(run, own, own_masks)
-                       for own, own_masks in zip(planes[1:], masks[1:])]
-            run(planes[0], masks[0])
+            helpers = [pool.submit(run, *own)
+                       for own in zip(planes[1:], masks[1:], tables[1:])]
+            run(planes[0], masks[0], tables[0])
             for helper in helpers:
                 helper.result()
 
 
 @dataclass(frozen=True, eq=False)
 class Undrawn:
-    """The cells of a streamed block [lo, lo + len(outside)) whose z the
-    period's stream did not draw.
+    """The cells of a streamed part whose z the period's stream did not
+    draw.
 
-    ``outside`` marks them; they hold their deterministic pathloss, and in
-    row r every one of them lies above ``cut[r]``. Their z is clipped at
-    ``SHADOW_CLIP``, so shadowing lowers their attenuation by at most
-    ``reach`` dB.
+    The part holds the source rows ``rows`` of one block, over every
+    antenna, or, when ``columns`` is given, each row over its own
+    ``columns``: the sites of its bucket in ascending order, padded with n
+    (a pad cell's pathloss is +inf). ``outside`` marks the part's undrawn
+    cells; they hold their deterministic pathloss, and in row r every one
+    of them lies above ``cut[r]``. So does every antenna a row's columns
+    leave out. Their z is clipped at ``SHADOW_CLIP``, so shadowing lowers
+    their attenuation by at most ``reach`` dB.
     """
 
     recipe: AttenuationRecipe
-    lo: int
+    rows: np.ndarray
     outside: np.ndarray
     cut: np.ndarray
+    columns: np.ndarray | None = None
 
     @property
     def reach(self) -> float:
         return SHADOW_CLIP * self.recipe.model.shadowing_sigma
 
+    def held(self, rows: np.ndarray, att: np.ndarray) -> np.ndarray:
+        """The part rows ``rows`` of ``att`` over every antenna, as a new
+        (len(rows), n) array: a drawn cell with its attenuation, an undrawn
+        one with its deterministic pathloss, computed here for the antennas
+        a row's columns leave out."""
+        if self.columns is None:
+            return att[rows]
+        recipe = self.recipe
+        users, sites = recipe.positions[self.rows[rows]], recipe.sites
+        held = np.empty((len(rows), len(sites)))
+        _pathloss(users[:, 0, None], users[:, 1, None], sites[None, :, 0],
+                  sites[None, :, 1], recipe.model, held, np.empty_like(held))
+        r, c = np.nonzero(~self.outside[rows])
+        held[r, self.columns[rows[r], c]] = att[rows[r], c]
+        return held
+
+    def cells(self, rows: np.ndarray) -> np.ndarray:
+        """The undrawn cells of the part rows ``rows`` over every antenna."""
+        if self.columns is None:
+            return self.outside[rows]
+        cells = np.ones((len(rows), len(self.recipe.sites)), bool)
+        r, c = np.nonzero(~self.outside[rows])
+        cells[r, self.columns[rows[r], c]] = False
+        return cells
+
     def complete(self, rows: np.ndarray, held: np.ndarray) -> None:
-        """Add sigma*z to the undrawn cells of the block rows ``rows``, held
-        in ``held`` (one row each, with the block's values). Row r's z comes
-        from the stream spawned with key ``(period, 2, source row)``, in
-        ascending antenna order, clipped. Only the seeding runs row by row;
-        the rows' values are drawn into one buffer and added at once."""
-        cells = self.outside[rows]
+        """Add sigma*z to the undrawn cells of the part rows ``rows``, held
+        in ``held`` over every antenna, as ``held`` gives them. Row r's z
+        comes from the stream spawned with key ``(period, 2, source row)``,
+        in ascending antenna order, clipped. Only the seeding runs row by
+        row; the rows' values are drawn into one buffer and added at once."""
+        cells = self.cells(rows)
         counts = np.count_nonzero(cells, axis=1)
         model, period = self.recipe.model, self.recipe.period
         z = np.empty(int(counts.sum()))
         start = 0
-        for r, count in zip(rows.tolist(), counts.tolist()):
+        for row, count in zip(self.rows[rows].tolist(), counts.tolist()):
             np.random.default_rng(np.random.SeedSequence(
-                model.seed, spawn_key=(period, 2, self.lo + r))
+                model.seed, spawn_key=(period, 2, row))
             ).standard_normal(out=z[start:start + count])
             start += count
         np.clip(z, -SHADOW_CLIP, SHADOW_CLIP, out=z)
         np.multiply(z, model.shadowing_sigma, out=z)
         held[cells] += z
+
+
+def _pathloss(x, y, site_x, site_y, model: PathlossModel, out: np.ndarray,
+              scratch: np.ndarray) -> None:
+    """Write reference_loss + 5*exponent*log10(max(dx^2 + dy^2, 1)) into
+    ``out``, dx = x - site_x and dy = y - site_y broadcast to its shape,
+    one ufunc at a time; ``scratch`` is overwritten, and ``site_x`` and
+    ``site_y`` may be ``out`` and ``scratch``. Both are C-contiguous, so a
+    cell gets the same bits whatever the shape it is computed in.
+    10*exponent*log10(d) is taken as 5*exponent*log10(d^2)."""
+    np.subtract(x, site_x, out=out)
+    np.subtract(y, site_y, out=scratch)
+    np.multiply(out, out, out=out)
+    np.multiply(scratch, scratch, out=scratch)
+    np.add(out, scratch, out=out)
+    np.maximum(out, 1.0, out=out)
+    np.log10(out, out=out)
+    np.multiply(out, 5.0 * model.exponent, out=out)
+    np.add(out, model.reference_loss, out=out)
+
+
+def _blocks_by_cost(cost: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Consecutive row blocks [lo, hi), each as long as its rows' ``cost``
+    stays within ``budget``; a row costs at most ``budget``."""
+    ends = np.cumsum(cost)
+    blocks, lo = [], 0
+    while lo < len(cost):
+        hi = int(np.searchsorted(ends, ends[lo] - cost[lo] + budget,
+                                 side="right"))
+        blocks.append((lo, hi))
+        lo = hi
+    return blocks
+
+
+def _stream_runs(lo: int, hi: int, parts: list, sizes: list) -> list[slice]:
+    """The slices of block [lo, hi)'s z buffer to draw into, in stream
+    order (source-row order over the candidate cells), one per run of
+    consecutive rows of one part, so that each part's ``sizes[k]`` values
+    land together, part after part. ``parts`` holds ``(att, spare,
+    candidate, undrawn)`` each."""
+    owner = np.empty(hi - lo, np.intp)
+    counts = np.empty(hi - lo, np.intp)
+    for k, (_, _, candidate, undrawn) in enumerate(parts):
+        owner[undrawn.rows - lo] = k
+        counts[undrawn.rows - lo] = np.count_nonzero(candidate, axis=1)
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    taken = np.cumsum([0] + sizes[:-1]).tolist()  # each part's next value
+    runs = []
+    for k, count in zip(owner[starts].tolist(),
+                        np.add.reduceat(counts, starts).tolist()):
+        runs.append(slice(taken[k], taken[k] + count))
+        taken[k] += count
+    return runs
 
 
 def _mark_candidates(pathloss: np.ndarray, scratch: np.ndarray, margin: float,
@@ -444,6 +610,167 @@ def _mark_candidates(pathloss: np.ndarray, scratch: np.ndarray, margin: float,
     np.less_equal(pathloss, cut[:, None], out=candidate)
     np.logical_not(candidate, out=outside)
     return cut
+
+
+@dataclass(frozen=True, eq=False)
+class BucketGrid:
+    """Square buckets of side ``side`` from ``origin``: bucket (i, j)
+    covers [origin + (i, j) * side, origin + (i + 1, j + 1) * side), and
+    its number is j * nx + i, ``shape`` being (nx, ny)."""
+
+    origin: np.ndarray
+    side: float
+    shape: tuple[int, int]
+
+    @classmethod
+    def over(cls, sites: np.ndarray) -> BucketGrid:
+        """The buckets over the sites' bounding box and a border of two
+        buckets. Their side is INDEX_SIDE * sqrt(area / n), the area
+        floored at span^2 / n so that a thin or collinear layout stays
+        within 24n + 25 buckets, and the side at 1 m."""
+        n = len(sites)
+        low, high = sites.min(axis=0), sites.max(axis=0)
+        width, height = (high - low).tolist()
+        span = max(width, height)
+        side = max(INDEX_SIDE * math.sqrt(max(width * height, span * span / n)
+                                          / n), 1.0)
+        shape = tuple(math.ceil(extent / side) + 4 for extent in (width, height))
+        return cls(low - 2 * side, side, shape)
+
+    def of(self, positions: np.ndarray) -> np.ndarray:
+        """The bucket number of each position, -1 outside the buckets."""
+        cell = (positions - self.origin) / self.side
+        nx, ny = self.shape
+        inside = ((cell[:, 0] >= 0) & (cell[:, 0] < nx)
+                  & (cell[:, 1] >= 0) & (cell[:, 1] < ny))
+        cell = np.where(inside[:, None], cell, 0).astype(np.intp)
+        return np.where(inside, cell[:, 1] * nx + cell[:, 0], -1)
+
+
+@dataclass(frozen=True, eq=False)
+class SiteIndex:
+    """The buckets of a ``BucketGrid`` over the antenna sites, each listing
+    a superset of the candidate sites of every user inside it.
+
+    ``slot`` maps each bucket to its number among the indexed buckets, or
+    to -1 when the bucket is not indexed. Indexed bucket k lists its sites
+    in ascending order as ``ids[starts[k]:starts[k + 1]]``. ``x`` and ``y``
+    are the site coordinates with a pad site n at +inf, whose pathloss is
+    +inf.
+    """
+
+    grid: BucketGrid
+    slot: np.ndarray
+    starts: np.ndarray
+    ids: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+    @functools.cached_property
+    def width(self) -> int:
+        """The most sites an indexed bucket lists."""
+        return int(np.diff(self.starts).max())
+
+    def slots(self, buckets: np.ndarray) -> np.ndarray:
+        """The indexed bucket of each of ``buckets``, -1 where it has none."""
+        return np.where(buckets >= 0, self.slot[buckets], -1)
+
+    def sizes(self, slots: np.ndarray) -> np.ndarray:
+        """How many sites each indexed bucket ``slots`` lists."""
+        return self.starts[slots + 1] - self.starts[slots]
+
+    def columns(self, slots: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill row r of ``out`` with the sites of indexed bucket
+        ``slots[r]``, padded with n; returns ``out``."""
+        at = self.starts[slots, None] + np.arange(out.shape[1])
+        # "clip": with "raise" take fills a temporary first
+        np.take(self.ids, at, out=out, mode="clip")
+        out[at >= self.starts[slots + 1, None]] = len(self.x) - 1
+        return out
+
+
+def _indexed_rows(positions: np.ndarray, sites: np.ndarray, margin: float,
+                  exponent: float) -> tuple[SiteIndex | None, np.ndarray | None]:
+    """The sites' ``SiteIndex`` and each row's indexed bucket (-1 for
+    none), or (None, None) unless most rows have one. The index is built
+    only when most rows lie on its buckets."""
+    buckets = BucketGrid.over(sites).of(positions)
+    if 2 * np.count_nonzero(buckets >= 0) <= len(positions):
+        return None, None
+    index = _site_index(sites, margin, exponent)
+    slots = None if index is None else index.slots(buckets)
+    if slots is None or 2 * np.count_nonzero(slots >= 0) <= len(positions):
+        return None, None
+    return index, slots
+
+
+def _site_index(sites: np.ndarray, margin: float,
+                exponent: float) -> SiteIndex | None:
+    """``_build_site_index(sites, margin, exponent)``, built once for the
+    process and kept."""
+    sites = np.ascontiguousarray(sites, dtype=float)
+    return _cached_site_index(sites.tobytes(), len(sites), margin, exponent)
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_site_index(raw: bytes, n: int, margin: float,
+                       exponent: float) -> SiteIndex | None:
+    return _build_site_index(np.frombuffer(raw).reshape(n, 2), margin,
+                             exponent)
+
+
+def _build_site_index(sites: np.ndarray, margin: float,
+                      exponent: float) -> SiteIndex | None:
+    """Index the ``sites`` of a recipe that prunes at ``margin`` on
+    ``BucketGrid.over(sites)``: None when no bucket's superset lists at
+    most n // INDEX_SHARE sites.
+
+    A user within the half-diagonal hd of bucket centre c has its
+    CANDIDATE_RANK-th nearest site within D6 + hd, D6 being c's; its
+    candidate cells lie within kf * max(D6 + hd, 1) of it,
+    kf = 10^(margin / (10 exponent)), since the pathloss is
+    10 exponent log10(max(d, 1)) plus constants. The superset is every site
+    within that radius plus hd of c, widened by INDEX_SLACK: it holds the
+    user's nearest sites and candidates, so the cut and the candidates
+    computed on it are the full row's. The bucket centres are taken
+    ``BLOCK_ELEMENTS`` distances at a time, and only the indexed buckets'
+    sites are kept.
+    """
+    n = len(sites)
+    grid = BucketGrid.over(sites)
+    (nx, ny), side = grid.shape, grid.side
+    half_diagonal = side / math.sqrt(2)
+    kf = 10 ** (margin / (10 * exponent))
+    ids = np.int16 if n < np.iinfo(np.int16).max else np.int32
+    slot = np.full(nx * ny, -1, np.int32)
+    chunk = max(1, BLOCK_ELEMENTS // n)
+    sizes, lists = [], []
+    for start in range(0, nx * ny, chunk):
+        buckets = np.arange(start, min(start + chunk, nx * ny))
+        centres = grid.origin + side * (
+            np.column_stack([buckets % nx, buckets // nx]) + 0.5)
+        d2 = np.subtract(centres[:, 0, None], sites[None, :, 0])
+        np.multiply(d2, d2, out=d2)
+        dy = np.subtract(centres[:, 1, None], sites[None, :, 1])
+        np.multiply(dy, dy, out=dy)
+        np.add(d2, dy, out=d2)
+        d6 = np.sqrt(np.partition(d2, CANDIDATE_RANK - 1,
+                                  axis=1)[:, CANDIDATE_RANK - 1])
+        radius = ((kf * np.maximum(d6 + half_diagonal, 1.0) + half_diagonal)
+                  * (1 + INDEX_SLACK))
+        member = np.less_equal(d2, (radius * radius)[:, None])
+        counts = np.count_nonzero(member, axis=1)
+        kept = np.flatnonzero(INDEX_SHARE * counts <= n)
+        if kept.size:
+            slot[buckets[kept]] = sum(map(len, sizes)) + np.arange(kept.size)
+            sizes.append(counts[kept])
+            # row by row, each row's sites ascending
+            lists.append(np.nonzero(member[kept])[1].astype(ids))
+    if not sizes:
+        return None
+    return SiteIndex(grid, slot, np.cumsum(np.concatenate([[0]] + sizes)),
+                     np.concatenate(lists), np.append(sites[:, 0], np.inf),
+                     np.append(sites[:, 1], np.inf))
 
 
 def sample_users(scenario: TrafficScenario, model: PathlossModel,
@@ -539,16 +866,17 @@ def assign_users(users: UserBatch, powers: np.ndarray) -> np.ndarray:
     """Serve each user by the antenna with the strongest received pilot.
 
     Received strength is powers[i] - attenuation[:, i] (dBm); exact ties go to
-    the lowest antenna id. Returns 1-based antenna ids, one per user.
+    the lowest antenna id. Returns 1-based antenna ids, one per user: entry 0
+    of each ``generate_mr`` record, so a sampled batch's matrix is never
+    formed.
     """
+    from .mrdata import generate_mr  # mrdata imports this module
+
     powers = np.asarray(powers, dtype=float)
     if powers.shape != (users.n_antennas,):
         raise ValueError(f"power vector length {powers.shape} does not match "
                          f"{users.n_antennas} antennas")
-    if len(users) == 0:
-        return np.zeros(0, dtype=np.int64)
-    received = powers[None, :] - users.attenuation
-    return np.argmax(received, axis=1).astype(np.int64) + 1
+    return generate_mr(users, powers, 1).serving()
 
 
 def scenario_from_dict(d: dict) -> TrafficScenario:

@@ -117,6 +117,13 @@ class TestSpecs:
         with pytest.raises(ConfigError, match="gama"):
             AlgorithmConfig().with_overrides(gama=0.5)
 
+    def test_non_string_cfg_key_named(self):
+        # a spec dict built in Python may hold keys JSON never would
+        d = {"bundle": {"name": "random"}, "cfg": {5: 1, "bogus": 2}}
+        with pytest.raises(ConfigError) as exc:
+            spec_from_dict(d)
+        assert str(exc.value) == "spec: cfg key(s) [5] are not strings"
+
     @pytest.mark.parametrize("block, where, key", [
         (lambda d: d, "spec", "peroids"),
         (lambda d: d, "spec", "algoritm"),

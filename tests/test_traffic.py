@@ -731,6 +731,9 @@ class TestCandidateDraw:
     GRID = grid_topology(16, 16, spacing=300.0)
     LINE = line_topo(1000, spacing=30.0)
     MODEL = PathlossModel(seed=4)
+    # 400 antennas at sigma 0.5: most users' buckets list at most 50 sites
+    INDEXED = grid_topology(20, 20, spacing=300.0)
+    SHARP = PathlossModel(shadowing_sigma=0.5, seed=4)
 
     def world(self, topo, blocks=3):
         users = blocks * block_rows(topo.n) + 7
@@ -796,6 +799,59 @@ class TestCandidateDraw:
             # on a plane the gate admits networks where candidates are a
             # minority; users far off a line see most of it within the margin
             assert candidate.sum() < candidate.size / 2
+
+    def indexed(self, monkeypatch):
+        """The INDEXED world's batch and brute-force fill, at a block size
+        that splits its 1487 users into about a dozen blocks. Most rows take
+        the site index, some stay dense, and some blocks hold both."""
+        monkeypatch.setattr(traffic, "BLOCK_ELEMENTS", 1 << 14)
+        batch, fill = self.sample(self.INDEXED, blocks=37, model=self.SHARP)
+        seen = []
+        batch.each_block(lambda lo, hi, att, spare, undrawn: seen.append(
+            (lo, undrawn.columns is None, len(undrawn.rows))))
+        near = sum(rows for _, dense, rows in seen if not dense)
+        assert 2 * near > len(batch) > near
+        assert len({lo for lo, _, _ in seen}) > traffic.MAX_SAMPLING_WORKERS
+        assert len(seen) > len({lo for lo, _, _ in seen})
+        return batch, fill
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_indexed_rows_rank_as_the_brute_force_fill(self, monkeypatch,
+                                                       workers):
+        monkeypatch.setattr(traffic, "_sampling_workers", lambda: workers)
+        completed = self.count_completed(monkeypatch)
+        batch, (att, _) = self.indexed(monkeypatch)
+        rng = np.random.default_rng(workers)
+        p_max = self.INDEXED.p_max_vector()
+        for where, powers in [("initial", self.INDEXED.initial_powers()),
+                              ("box", rng.uniform(43.0, p_max)),
+                              ("below", rng.uniform(0.0, p_max))]:
+            for top_m in (1, 6, 8):
+                completed.clear()
+                want_ids, want_vals = TestStreamedRanking.ranked(att, powers, top_m)
+                got = in_time(lambda: generate_mr(batch, powers, top_m))
+                assert np.array_equal(got.ids, want_ids), (where, top_m)
+                assert np.array_equal(got.values, want_vals), (where, top_m)
+                # inside the box a list within the nearest candidates stands;
+                # at sigma 0.5 an 8th entry may lie past the margin
+                if top_m <= traffic.CANDIDATE_RANK:
+                    assert bool(completed) == (where == "below"), (where, top_m)
+        # a list longer than a bucket's superset ranks every row in full
+        completed.clear()
+        want_ids, want_vals = TestStreamedRanking.ranked(att, powers, 60)
+        got = in_time(lambda: generate_mr(batch, powers, 60))
+        assert np.array_equal(got.ids, want_ids)
+        assert np.array_equal(got.values, want_vals)
+        assert len(completed) == len(batch)
+
+    def test_indexed_matrix_and_assignment(self, monkeypatch):
+        batch, (att, _) = self.indexed(monkeypatch)
+        powers = np.random.default_rng(4).uniform(0.0, 49.0, self.INDEXED.n)
+        got = in_time(lambda: assign_users(batch, powers))
+        assert batch._matrix is None  # assignment forms no U x n matrix
+        matrix = in_time(lambda: batch.attenuation)
+        assert np.array_equal(matrix, att)
+        assert np.array_equal(got, np.argmax(powers - matrix, axis=1) + 1)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_matrix_and_assignment_are_the_brute_force_fill(self, monkeypatch,
@@ -903,6 +959,109 @@ class TestCandidateDraw:
         assert np.array_equal(got.ids, want_ids)
         assert np.array_equal(got.values, want_vals)
         assert np.array_equal(matrix, att)
+
+
+def pathloss_to(users, site_x, site_y, model):
+    """The kernel's pathloss from each user to site coordinates broadcast
+    against its rows, written out as one expression."""
+    dx = users[:, 0, None] - site_x
+    dy = users[:, 1, None] - site_y
+    return (model.reference_loss
+            + 5.0 * model.exponent * np.log10(np.maximum(dx * dx + dy * dy, 1.0)))
+
+
+@st.composite
+def site_layouts(draw):
+    """(sites, users, margin, exponent): sites on a plane of any aspect, on
+    a line (level or slanted), piled on a few points, or placed so that a
+    user on a bucket corner has a site exactly at its bucket's radius;
+    users anywhere in and around the box, on bucket corners and edges,
+    within 1 m of a site, and kilometres off."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(traffic.CANDIDATE_RANK, 40))
+    kind = draw(st.sampled_from(["plane", "level", "slanted", "piled", "tight"]))
+    exponent = draw(st.floats(2.0, 8.0))
+    margin = draw(st.floats(0.5, 40.0))
+    width = draw(st.floats(1.0, 1e5))
+    if kind == "plane":
+        sites = rng.uniform(0.0, 1.0, (n, 2)) * [width, draw(st.floats(1.0, 1e5))]
+    elif kind in ("level", "slanted"):
+        x = rng.uniform(0.0, width, n)
+        sites = np.column_stack([x, 0.1 * x if kind == "slanted" else np.zeros(n)])
+    elif kind == "piled":
+        points = rng.uniform(0.0, width, (draw(st.integers(1, 3)), 2))
+        sites = points[rng.integers(0, len(points), n)]
+    else:
+        # a user u on the lower-left corner of the middle bucket, the
+        # bucket centre c, six sites piled beyond c on the line from u, and
+        # one site t beyond u on it: |u - t| is kf * (|u - pile|) and
+        # |c - t| the bucket's radius, both up to rounding
+        exponent, n = 4.0, 36
+        margin = draw(st.floats(0.5, 10.0))
+        edge = 1e4
+        side = traffic.INDEX_SIDE * edge / np.sqrt(n)
+        origin = -2 * side
+        corner = origin + side * np.ceil((edge / 2 - origin) / side)
+        u = np.array([corner, corner])
+        c = u + side / 2
+        hd = side / np.sqrt(2)
+        unit = (c - u) / hd
+        d6 = draw(st.floats(0.2, 1.5)) * side
+        kf = 10 ** (margin / (10 * exponent))
+        fillers = rng.uniform(0.0, edge / 8, (n - 7, 2))
+        fillers[::2] = edge - fillers[::2]
+        sites = np.concatenate([[[0.0, 0.0], [edge, edge]], fillers[2:],
+                                np.repeat([c + d6 * unit], 6, axis=0),
+                                [u - kf * (d6 + hd) * unit]])
+    low, span = sites.min(axis=0), np.ptp(sites, axis=0) + 1.0
+    users = [low + rng.uniform(-0.5, 1.5, (40, 2)) * span,
+             sites[rng.integers(0, n, 20)] + rng.uniform(-0.7, 0.7, (20, 2)),
+             low + [[-5000.0, 0.0], [0.0, 8000.0], [span[0] + 3000.0, -4000.0]]]
+    if kind == "tight":
+        users.append([u])
+    return sites, np.concatenate(users), margin, exponent
+
+
+class TestSiteIndex:
+    """Each bucket's superset must hold every candidate cell of any user in
+    the bucket, and the cut computed on the superset's columns must be the
+    full row's, bit for bit, on any layout, with O(n) buckets."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(layout=site_layouts())
+    def test_supersets_hold_the_candidates_and_the_cut(self, layout):
+        sites, users, margin, exponent = layout
+        n = len(sites)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(traffic, "INDEX_SHARE", 1)  # keep every bucket
+            index = traffic._build_site_index(sites, margin, exponent)
+        grid = index.grid
+        nx, ny = grid.shape
+        assert nx * ny <= 24 * n + 25
+        # users on bucket corners and on the middle of bucket edges
+        corners = grid.origin + grid.side * np.column_stack(
+            [np.arange(nx + 1), np.arange(nx + 1) % (ny + 1)])
+        users = np.concatenate([users, corners, corners + [grid.side / 2, 0.0]])
+        slots = index.slots(grid.of(users))
+        inside = (((users - grid.origin) / grid.side >= 0)
+                  & ((users - grid.origin) / grid.side < [nx, ny])).all(axis=1)
+        assert np.array_equal(slots >= 0, inside)
+        model = PathlossModel(exponent=exponent, shadowing_sigma=0.0)
+        rank = traffic.CANDIDATE_RANK
+        full = pathloss_to(users[inside], sites[None, :, 0], sites[None, :, 1],
+                           model)
+        cut = np.partition(full, rank - 1, axis=1)[:, rank - 1] + margin
+        columns = index.columns(slots[inside],
+                                np.empty((inside.sum(), index.width), index.ids.dtype))
+        assert (np.diff(columns, axis=1) >= 0).all()
+        listed = np.zeros((len(columns), n + 1), bool)
+        np.put_along_axis(listed, columns.astype(np.intp), True, axis=1)
+        assert not (full <= cut[:, None])[~listed[:, :n]].any()
+        near = pathloss_to(users[inside], index.x[columns], index.y[columns],
+                           model)
+        assert np.array_equal(
+            np.partition(near, rank - 1, axis=1)[:, rank - 1] + margin, cut)
+        assert (near[columns == n] == np.inf).all()
 
 
 class TestPathlossFidelity:
