@@ -96,13 +96,15 @@ def generate_mr(users: UserBatch, powers: np.ndarray, top_m: int = 6) -> MrDatas
     that is on the attenuation kernel's own threads, while each block is
     fresh, so no (U, n) array is ever formed.
 
-    ``argpartition`` of attenuation - powers takes each row's m smallest
-    cells, the m strongest pilots, and a ``lexsort`` orders them. When the
-    (m+1)-th cell equals the m-th (or either is NaN), the cut is not
-    decided by strength, and that row instead sorts in full stably, so the
-    lowest ids win as they do in ``argmax``. The values recorded are
-    powers - attenuation at the listed cells. A batch rescaled from a base
-    period ranks the base's rows and takes its users' rows from them;
+    m sweeps of ``argmin`` along the rows of attenuation - powers pick each
+    row's m smallest cells, the m strongest pilots, in order: each sweep
+    takes a row's first least cell and writes +inf over it. Columns ascend
+    with the antenna ids, so ties go to the lowest id, as in ``argmax``,
+    also across the cut. A row whose picks hold a non-finite value (it has
+    a NaN, or fewer than m finite cells) gets its cells back and sorts in
+    full stably instead, NaN last. The values recorded are powers -
+    attenuation at the listed cells, in pick order. A batch rescaled from a
+    base period ranks the base's rows and takes its users' rows from them;
     ranking is per row, so that is bitwise what ranking its own rows gives.
 
     A block of a pruning recipe comes with ``undrawn``, the cells whose
@@ -113,10 +115,10 @@ def generate_mr(users: UserBatch, powers: np.ndarray, top_m: int = 6) -> MrDatas
     power, then cell by cell for the rows that fail it. Every other row has
     its undrawn cells completed and is ranked in full, so each record is
     that of the whole matrix, at any powers. A part of indexed rows holds
-    each row over its bucket's sites, ``undrawn.columns``: its partition
-    positions are mapped to those antenna ids before the id tie-break, its
-    powers are read through them, and the pathloss of a row's other
-    antennas is computed only for the rows the cell-by-cell check takes.
+    each row over its bucket's sites, ``undrawn.columns``, ascending with
+    the pads last: its picks are mapped to those antenna ids, its powers
+    are read through them, and the pathloss of a row's other antennas is
+    computed only for the rows the cell-by-cell check takes.
     """
     if top_m < 1:
         raise ValueError("top_m must be at least 1")
@@ -125,7 +127,6 @@ def generate_mr(users: UserBatch, powers: np.ndarray, top_m: int = 6) -> MrDatas
     if powers.shape != (n,):
         raise ValueError("power vector length does not match antenna count")
     m = min(top_m, n)
-    every = np.arange(n)
     ids = np.empty((users.source_rows, m), np.int32)
     vals = np.empty((users.source_rows, m))
     top = powers.max(initial=-np.inf)
@@ -133,26 +134,36 @@ def generate_mr(users: UserBatch, powers: np.ndarray, top_m: int = 6) -> MrDatas
     padded = np.append(powers, 0.0)
 
     def strongest(spare, r):
-        """The columns of each row's m smallest cells of ``spare``; ``r``
-        numbers its rows, as a column."""
-        if m == spare.shape[1]:
-            return np.broadcast_to(every, spare.shape)
-        ranked = np.argpartition(spare, m, axis=1)
-        part = ranked[:, :m]
-        with np.errstate(invalid="ignore"):  # inf - inf: undrawn at the cut
-            gap = spare[r[:, 0], ranked[:, m]] - spare[r, part].max(axis=1)
-        tied = np.flatnonzero(~(gap > 0))  # a NaN gap sorts too
-        if tied.size:
-            part[tied] = np.argsort(spare[tied], axis=1, kind="stable")[:, :m]
-        return part
+        """Each row's m smallest cells of ``spare``, least first and ties by
+        ascending column, as (columns, values); ``r`` numbers its rows, as a
+        column. ``spare`` is overwritten."""
+        part = np.empty((m, len(spare)), np.intp)
+        worth = np.empty((m, len(spare)))
+        at = np.empty(len(spare), np.intp)  # flat positions of the picks
+        starts = r[:, 0] * spare.shape[1]
+        for k in range(m):
+            # each row's first least cell, then +inf over it
+            np.argmin(spare, axis=1, out=part[k])
+            np.add(part[k], starts, out=at)
+            np.take(spare, at, out=worth[k])
+            np.put(spare, at, np.inf)
+        part, worth = part.T, worth.T
+        # argmin takes a NaN before anything and revisits +inf cells: a row
+        # with a NaN or fewer than m finite cells sorts in full stably
+        odd = np.flatnonzero(~np.isfinite(worth).all(axis=1))
+        if odd.size:
+            # backwards, so that a cell picked twice gets its first value
+            for k in reversed(range(m)):
+                spare[odd, part[odd, k]] = worth[odd, k]
+            part[odd] = np.argsort(spare[odd], axis=1, kind="stable")[:, :m]
+            worth[odd] = spare[odd[:, None], part[odd]]
+        return part, worth
 
     def record(rows, att, part, r, columns=None):
-        # the antenna ids of the listed columns, before the id tie-break
+        # the listed columns' antenna ids, in the order they were picked
         at = part if columns is None else columns[r, part]
-        v = padded[at] - att[r, part]
-        order = np.lexsort((at, -v), axis=1)
-        ids[rows] = at[r, order] + 1
-        vals[rows] = v[r, order]
+        ids[rows] = at + 1
+        vals[rows] = padded[at] - att[r, part]
 
     def settle(att, worst, undrawn):
         """Complete and rank in full the rows an undrawn cell might enter:
@@ -172,7 +183,7 @@ def generate_mr(users: UserBatch, powers: np.ndarray, top_m: int = 6) -> MrDatas
             rows, held = rows[enters], held[enters]
             undrawn.complete(rows, held)
             r = np.arange(len(rows))[:, None]
-            record(undrawn.rows[rows], held, strongest(held - powers, r), r)
+            record(undrawn.rows[rows], held, strongest(held - powers, r)[0], r)
 
     def rank(lo, hi, att, spare, undrawn=None):
         columns = None if undrawn is None else undrawn.columns
@@ -185,13 +196,13 @@ def generate_mr(users: UserBatch, powers: np.ndarray, top_m: int = 6) -> MrDatas
             np.take(padded, columns, out=spare, mode="clip")
             np.subtract(att, spare, out=spare)
         if undrawn is None:
-            record(slice(lo, hi), att, strongest(spare, r), r)
+            record(slice(lo, hi), att, strongest(spare, r)[0], r)
             return
         np.copyto(spare, np.inf, where=undrawn.outside)
         if columns is None or m < columns.shape[1]:
-            part = strongest(spare, r)
+            part, worth = strongest(spare, r)
             record(undrawn.rows, att, part, r, columns)
-            worst = spare[r, part].max(axis=1)
+            worst = worth[:, -1]
         else:  # a list as long as the columns reaches an undrawn cell
             worst = np.full(len(att), np.inf)
         settle(att, worst, undrawn)

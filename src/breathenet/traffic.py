@@ -23,12 +23,13 @@ BLOCK_ELEMENTS = 1 << 17
 # Most threads filling one period's attenuation. Each thread, the calling
 # one among them, fills a block's pathloss, takes its turn at the sequential
 # shadowing stream, then hands the block on (to the MR ranking, say). The
-# draws run one at a time, in block order. Measured serially on one grid-2k
-# period (2-core x86), the candidate draw (see CANDIDATE_RANK) takes about
-# 0.09 s of a 0.49 s generate_mr pass, the site index (see SiteIndex)
-# having cut the pathloss and candidate marking to 14M of 60M cells, so the
-# turns still seldom wait; a dense draw costs 12-15 ns per cell and, from
-# three threads on, sets the pace.
+# draws run one at a time, in block order. Measured serially on one period
+# (2-core x86), the candidate draw (see CANDIDATE_RANK) takes about 0.09 s
+# of a 0.42 s generate_mr pass on grid-2k and 0.11 s of 0.51 s on grid-500,
+# the site index (see SiteIndex) having cut the pathloss and candidate
+# marking to 14M of 60M and 13M of 30M cells, so the turns still seldom
+# wait; a dense draw costs 12-15 ns per cell and, from three threads on,
+# sets the pace.
 MAX_SAMPLING_WORKERS = 3
 
 # A row's candidate cells are the antennas whose deterministic pathloss lies
@@ -42,11 +43,13 @@ SHADOW_CLIP = 4.0
 
 # The pruned fill finds each row's candidates through a bucket index of the
 # sites (see SiteIndex): squares of side INDEX_SIDE * sqrt(bbox area / n).
-# A row whose bucket's superset lists at most n // INDEX_SHARE sites is
-# computed and ranked on those sites alone; INDEX_SLACK widens each
+# A row whose bucket's superset lists at most n / INDEX_SHARE sites is
+# computed and ranked on those sites alone. Its fill and its ranking's argmin
+# sweeps cost in proportion to its width, so supersets of up to half the
+# sites pay (grid-500's list 60-208 of 500). INDEX_SLACK widens each
 # superset's radius against rounding.
 INDEX_SIDE = 0.5
-INDEX_SHARE = 8
+INDEX_SHARE = 2
 INDEX_SLACK = 1e-6
 
 
@@ -723,7 +726,7 @@ def _build_site_index(sites: np.ndarray, margin: float,
                       exponent: float) -> SiteIndex | None:
     """Index the ``sites`` of a recipe that prunes at ``margin`` on
     ``BucketGrid.over(sites)``: None when no bucket's superset lists at
-    most n // INDEX_SHARE sites.
+    most n / INDEX_SHARE sites.
 
     A user within the half-diagonal hd of bucket centre c has its
     CANDIDATE_RANK-th nearest site within D6 + hd, D6 being c's; its

@@ -239,6 +239,43 @@ def test_serving_equals_assignment_under_ties(batch):
     np.testing.assert_array_equal(ds.ids - 1, np.array(want).reshape(ds.ids.shape))
 
 
+@st.composite
+def non_finite_batches(draw):
+    """Small batches over a few levels, NaN, +-inf and +-0.0, at times with
+    a NaN or +inf power, rows with fewer finite cells than a record holds,
+    and top_m up to n + 2."""
+    n = draw(st.integers(1, 12))
+    u = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = np.array([61.0, 60.0, np.nan, np.inf, -np.inf, 0.0, -0.0])
+    levels = levels[draw(st.lists(st.integers(0, len(levels) - 1),
+                                  min_size=1, max_size=len(levels), unique=True))]
+    att = levels[rng.integers(0, len(levels), size=(u, n))]
+    if u and draw(st.booleans()):
+        row = att[draw(st.integers(0, u - 1))]
+        row[rng.random(n) < 0.7] = np.inf
+    # powers of 0.0 and -0.0 make zero received strengths of either sign
+    powers = rng.choice(draw(st.sampled_from([(40.0, 41.0), (0.0, -0.0, 61.0)])), n)
+    if draw(st.booleans()):
+        powers[rng.integers(0, n)] = draw(st.sampled_from([np.nan, np.inf]))
+    return att, powers, draw(st.integers(1, n + 2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(non_finite_batches())
+def test_non_finite_cells_rank_as_a_stable_sort(batch):
+    att, p, top_m = batch
+    with np.errstate(invalid="ignore"):
+        ds = generate_mr(batch_from_attenuation(att), p, top_m)
+        # strength descending, ties by ascending id, NaN last
+        want = np.argsort(att - p, axis=1, kind="stable")[:, :ds.top_m]
+        received = p - att
+    assert np.array_equal(ds.ids - 1, want)
+    # bitwise, so that NaN and the sign of zero count
+    assert np.array_equal(ds.values.view(np.uint64),
+                          np.take_along_axis(received, want, axis=1).view(np.uint64))
+
+
 class TestDomainSwitch:
     def test_single_entry(self):
         ds = dataset_from_records([MrRecord(((1, 20.0),))], "signal", 1)

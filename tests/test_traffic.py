@@ -731,9 +731,12 @@ class TestCandidateDraw:
     GRID = grid_topology(16, 16, spacing=300.0)
     LINE = line_topo(1000, spacing=30.0)
     MODEL = PathlossModel(seed=4)
-    # 400 antennas at sigma 0.5: most users' buckets list at most 50 sites
+    # 400 antennas at sigma 0.5: each bucket lists 19-52 sites, and most
+    # users lie on the buckets
     INDEXED = grid_topology(20, 20, spacing=300.0)
     SHARP = PathlossModel(shadowing_sigma=0.5, seed=4)
+    # 500 antennas at sigma 2: most buckets list between n/8 and n/2 sites
+    HALF = grid_topology(25, 20, spacing=300.0)
 
     def world(self, topo, blocks=3):
         users = blocks * block_rows(topo.n) + 7
@@ -843,6 +846,33 @@ class TestCandidateDraw:
         assert np.array_equal(got.ids, want_ids)
         assert np.array_equal(got.values, want_vals)
         assert len(completed) == len(batch)
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_buckets_listing_up_to_half_the_sites_are_indexed(self, monkeypatch,
+                                                              workers):
+        monkeypatch.setattr(traffic, "_sampling_workers", lambda: workers)
+        batch, (att, _) = self.sample(self.HALF)
+        index = traffic._site_index(batch._recipe.sites, batch._recipe.margin,
+                                    self.MODEL.exponent)
+        # every bucket is indexed, nearly all of them listing over n/8 sites
+        sizes = np.diff(index.starts)
+        assert (index.slot >= 0).all() and 2 * sizes.max() <= self.HALF.n
+        assert 10 * np.count_nonzero(8 * sizes > self.HALF.n) > 9 * sizes.size
+        seen = []
+        in_time(lambda: batch.each_block(lambda lo, hi, att, spare, undrawn:
+                                         seen.append(undrawn)))
+        near = sum(len(u.rows) for u in seen if u.columns is not None)
+        assert 2 * near > len(batch)
+        rng = np.random.default_rng(workers)
+        p_max = self.HALF.p_max_vector()
+        for where, powers in [("initial", self.HALF.initial_powers()),
+                              ("box", rng.uniform(43.0, p_max)),
+                              ("below", rng.uniform(0.0, p_max))]:
+            for top_m in (1, 6, 8):
+                want_ids, want_vals = TestStreamedRanking.ranked(att, powers, top_m)
+                got = in_time(lambda: generate_mr(batch, powers, top_m))
+                assert np.array_equal(got.ids, want_ids), (where, top_m)
+                assert np.array_equal(got.values, want_vals), (where, top_m)
 
     def test_indexed_matrix_and_assignment(self, monkeypatch):
         batch, (att, _) = self.indexed(monkeypatch)
