@@ -49,7 +49,11 @@ def _load_spec(path: str, args) -> "ExperimentSpec":
 
 def _cmd_run(args) -> int:
     spec = _load_spec(args.spec, args)
-    result = run_experiment(spec, progress=not args.quiet)
+    try:
+        result = run_experiment(spec, progress=not args.quiet)
+    except OSError as exc:
+        raise ConfigError(f"{spec.output_dir}: cannot write results "
+                          f"({exc.strerror})") from None
     m = result.metrics
     print(f"algorithm={spec.algorithm} periods={len(m)}")
     print(f"mean std_busy      {m.mean_std_busy:.6f}")

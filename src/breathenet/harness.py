@@ -102,7 +102,8 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         block = config_field(d, "bundle", dict, "spec")
         if "name" not in block:
             raise ConfigError("the bundle block is missing its 'name'")
-        name = block.pop("name")
+        name = config_field(block, "name", str, "bundle")
+        del block["name"]
         if name not in _BUNDLES:
             raise ConfigError(f"unknown bundle {name!r}; "
                               f"choose from {sorted(_BUNDLES)}")
@@ -259,7 +260,12 @@ class MetricsSeries:
             header = next(reader, [])
             if tuple(header) != _METRIC_COLUMNS:
                 raise ValueError(f"unexpected metrics header {header}")
-            rows = [tuple(r) for r in reader]
+            rows = []
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(f"line {reader.line_num} has {len(row)} "
+                                     f"fields, the header {len(header)}")
+                rows.append(tuple(row))
         cols = list(zip(*rows)) if rows else [[] for _ in _METRIC_COLUMNS]
         return cls(period=np.array([int(v) for v in cols[0]]),
                    **{name: np.array([float(v) for v in cols[k]])
@@ -305,6 +311,10 @@ def run_experiment(spec: ExperimentSpec, output_dir=None,
     """
     out = Path(output_dir) if output_dir is not None else (
         Path(spec.output_dir) if spec.output_dir else None)
+    if out is not None:
+        # an unusable directory fails before the first period, not after
+        # the last
+        out.mkdir(parents=True, exist_ok=True)
     topo, cfg = spec.topo, spec.cfg
     p = topo.initial_powers()
     rows: list[tuple] = []

@@ -169,8 +169,8 @@ class UserBatch:
     among them, fills a block's pathloss, takes its turn at the shadowing
     draw and runs the consumer on the block (``generate_mr`` ranks it
     there). A recipe that prunes draws only each row's candidate cells and
-    hands the consumer the rest as ``Undrawn``; a row whose bucket of the
-    site index is indexed comes over its bucket's sites only.
+    hands the consumer the rest as ``Undrawn``; every row in an indexed
+    bucket of the sites' ``SiteIndex`` comes over that bucket's sites only.
     ``attenuation`` copies the streamed blocks into the whole matrix on
     first access, computes every indexed row's other cells, completes every
     row's undrawn cells from the row's own stream, and keeps it.
@@ -316,18 +316,17 @@ class AttenuationRecipe:
         pathloss, and ``consume`` gets them as the keyword ``undrawn``, an
         ``Undrawn`` that completes any row on request.
 
-        A pruned fill looks each row up in the sites' ``SiteIndex``. When
-        most rows' buckets are indexed, the blocks are cut by cost, an
-        indexed row counting the widest bucket's sites and any other row n
-        cells, so that no block holds more cells than a block of full
-        rows. A
-        block's indexed rows then reach ``consume`` as one part: ``att``
-        holds them (``undrawn.rows``) over their bucket's sites only
+        A pruned fill looks each row up in the sites' ``SiteIndex``, when
+        the sites have one. The blocks are cut by cost, a row in an indexed
+        bucket counting the widest bucket's sites and any other row n
+        cells, so that no block holds more cells than a block of full rows.
+        A block's indexed rows reach ``consume`` as one part: ``att`` holds
+        them (``undrawn.rows``) over their bucket's sites only
         (``undrawn.columns``), and their cut and candidates are bitwise
         those of the full rows. The block's other rows follow as a second
-        part over every antenna; ``lo`` and ``hi`` stay the block's.
-        Otherwise every row keeps its full width, and each block is one
-        part.
+        part over every antenna; ``lo`` and ``hi`` stay the block's. A
+        dense fill's block is one part of full rows, which reaches
+        ``consume`` without ``undrawn``.
 
         Every thread, the calling thread among them, runs the same loop: it
         takes the next block, fills its pathloss and marks its candidates,
@@ -346,15 +345,13 @@ class AttenuationRecipe:
         n = len(sites)
         rows = block_rows(n)
         sigma, margin = model.shadowing_sigma, self.margin
-        index, slots = (_indexed_rows(positions, sites, margin, model.exponent)
-                        if margin is not None else (None, None))
-        if slots is not None:
-            # a block holds as many cells as a block of full rows
-            blocks = _blocks_by_cost(
-                np.where(slots >= 0, index.width, n), rows * n)
-        else:
-            blocks = [(lo, min(lo + rows, len(positions)))
-                      for lo in range(0, len(positions), rows)]
+        index = (_site_index(sites, margin, model.exponent)
+                 if margin is not None else None)
+        slots = None if index is None else index.slots(index.grid.of(positions))
+        # a block holds as many cells as a block of full rows
+        blocks = _blocks_by_cost(
+            np.full(len(positions), n) if slots is None
+            else np.where(slots >= 0, index.width, n), rows * n)
         upcoming = enumerate(blocks)
         workers = max(1, min(_sampling_workers(), len(blocks)))
         shadow_rng = (np.random.default_rng(
@@ -368,14 +365,15 @@ class AttenuationRecipe:
         masks = (np.empty((workers, 2, planes.shape[2]), bool)
                  if margin is not None else [None] * workers)
         tables = (np.empty((workers, planes.shape[2]), index.ids.dtype)
-                  if slots is not None else [None] * workers)
+                  if index is not None else [None] * workers)
         turn = threading.Condition()  # guards upcoming, drawn and stopped
         drawn = 0  # blocks whose z is drawn
         stopped = False
 
         def parts_of(lo, hi, own, own_masks, own_table):
             """The parts of block [lo, hi), pathloss filled and candidates
-            marked, each as (att, spare, candidate, undrawn)."""
+            marked, each as (att, spare, candidate, undrawn); a dense
+            block's one part has neither candidate nor undrawn."""
             slot = None if slots is None else slots[lo:hi]
             near = [] if slot is None else np.flatnonzero(slot >= 0)
             if not len(near):
@@ -394,8 +392,6 @@ class AttenuationRecipe:
                 shape = (len(src), n if columns is None else columns.shape[1])
                 end = offset + shape[0] * shape[1]
                 att, spare = (p[offset:end].reshape(shape) for p in own[:2])
-                candidate, outside = (m[offset:end].reshape(shape)
-                                      for m in own_masks)
                 if columns is None:
                     _pathloss(x, y, sites[None, :, 0], sites[None, :, 1],
                               model, att, spare)
@@ -404,9 +400,14 @@ class AttenuationRecipe:
                     np.take(index.x, columns, out=att, mode="clip")
                     np.take(index.y, columns, out=spare, mode="clip")
                     _pathloss(x, y, att, spare, model, att, spare)
-                cut = _mark_candidates(att, spare, margin, candidate, outside)
-                parts.append((att, spare, candidate,
-                              Undrawn(self, src, outside, cut, columns)))
+                candidate = undrawn = None
+                if margin is not None:
+                    candidate, outside = (m[offset:end].reshape(shape)
+                                          for m in own_masks)
+                    cut = _mark_candidates(att, spare, margin, candidate,
+                                           outside)
+                    undrawn = Undrawn(self, src, outside, cut, columns)
+                parts.append((att, spare, candidate, undrawn))
                 offset = end
             return parts
 
@@ -421,21 +422,13 @@ class AttenuationRecipe:
                     if block is None:
                         return
                     b, (lo, hi) = block
-                    if margin is None:
-                        att, spare = (p[:(hi - lo) * n].reshape(hi - lo, n)
-                                      for p in own[:2])
-                        _pathloss(positions[lo:hi, 0, None],
-                                  positions[lo:hi, 1, None], sites[None, :, 0],
-                                  sites[None, :, 1], model, att, spare)
-                        cells = att.size
-                    else:
-                        parts = parts_of(lo, hi, own, own_masks, own_table)
-                        sizes = [np.count_nonzero(candidate)
-                                 for _, _, candidate, _ in parts]
-                        cells = sum(sizes)
+                    parts = parts_of(lo, hi, own, own_masks, own_table)
+                    sizes = [att.size if candidate is None
+                             else np.count_nonzero(candidate)
+                             for att, _, candidate, _ in parts]
                     if shadow_rng is not None:
-                        shadow = own[2][:cells]
-                        runs = ([shadow] if margin is None or len(parts) == 1
+                        shadow = own[2][:sum(sizes)]
+                        runs = ([shadow] if len(parts) == 1
                                 else [shadow[run] for run
                                       in _stream_runs(lo, hi, parts, sizes)])
                         with turn:
@@ -450,17 +443,18 @@ class AttenuationRecipe:
                             drawn += 1
                             turn.notify_all()
                         np.multiply(shadow, sigma, out=shadow)
-                        if margin is None:
-                            np.add(att, shadow.reshape(att.shape), out=att)
+                        start = 0
+                        for (att, _, candidate, _), size in zip(parts, sizes):
+                            z = shadow[start:start + size]
+                            if candidate is None:
+                                np.add(att, z.reshape(att.shape), out=att)
+                            else:
+                                att[candidate] += z
+                            start += size
+                    for att, spare, _, undrawn in parts:
+                        if undrawn is None:
+                            consume(lo, hi, att, spare)
                         else:
-                            start = 0
-                            for (att, _, candidate, _), size in zip(parts, sizes):
-                                att[candidate] += shadow[start:start + size]
-                                start += size
-                    if margin is None:
-                        consume(lo, hi, att, spare)
-                    else:
-                        for att, spare, _, undrawn in parts:
                             consume(lo, hi, att, spare, undrawn=undrawn)
             except BaseException:
                 with turn:
@@ -690,21 +684,6 @@ class SiteIndex:
         np.take(self.ids, at, out=out, mode="clip")
         out[at >= self.starts[slots + 1, None]] = len(self.x) - 1
         return out
-
-
-def _indexed_rows(positions: np.ndarray, sites: np.ndarray, margin: float,
-                  exponent: float) -> tuple[SiteIndex | None, np.ndarray | None]:
-    """The sites' ``SiteIndex`` and each row's indexed bucket (-1 for
-    none), or (None, None) unless most rows have one. The index is built
-    only when most rows lie on its buckets."""
-    buckets = BucketGrid.over(sites).of(positions)
-    if 2 * np.count_nonzero(buckets >= 0) <= len(positions):
-        return None, None
-    index = _site_index(sites, margin, exponent)
-    slots = None if index is None else index.slots(buckets)
-    if slots is None or 2 * np.count_nonzero(slots >= 0) <= len(positions):
-        return None, None
-    return index, slots
 
 
 def _site_index(sites: np.ndarray, margin: float,

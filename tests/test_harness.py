@@ -79,6 +79,13 @@ class TestSpecs:
         with pytest.raises(ConfigError, match="unknown bundle"):
             spec_from_dict({"bundle": {"name": "volcano"}})
 
+    @pytest.mark.parametrize("name", [["random"], {"random": 1}],
+                             ids=["list", "dict"])
+    def test_a_bundle_name_that_is_not_a_string_rejected(self, name):
+        with pytest.raises(ConfigError,
+                           match=r"bundle: name .* is not a valid str"):
+            spec_from_dict({"bundle": {"name": name}})
+
     def test_bundle_without_name_rejected(self):
         with pytest.raises(ConfigError, match="missing its 'name'"):
             spec_from_dict({"bundle": {"nx": 2, "ny": 2}})
@@ -583,6 +590,24 @@ class TestCli:
                      "--periods", "1"]) == 0
         assert "algorithm=none periods=1" in capsys.readouterr().out
 
+    def test_run_into_an_existing_file_is_one_error_line(self, tmp_path,
+                                                          capsys, monkeypatch):
+        from breathenet import harness
+        from breathenet.cli import main
+
+        spec_path = self.write_spec(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        sampled = []
+        monkeypatch.setattr(harness, "sample_users",
+                            lambda *args: sampled.append(args))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(spec_path), "--quiet", "-o", str(taken)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == \
+            f"breathenet: error: {taken}: cannot write results (File exists)\n"
+        assert not sampled  # it stops before period 1
+
     def test_zero_periods_flag_rejected(self, tmp_path, capsys):
         from breathenet.cli import main
 
@@ -695,6 +720,7 @@ class TestCli:
                 f"breathenet: error: {empty}: metrics.csv holds no period\n"
 
     @pytest.mark.parametrize("case", ["no-metrics", "other-header", "empty",
+                                      "short-row", "long-row",
                                       "period-counts"])
     def test_compare_names_an_unreadable_pair(self, tmp_path, capsys, case):
         from breathenet.cli import main
@@ -712,6 +738,13 @@ class TestCli:
         elif case == "empty":
             (b / "metrics.csv").write_text("")
             want = f"{b}: metrics.csv: unexpected metrics header []"
+        elif case in ("short-row", "long-row"):
+            lines = (b / "metrics.csv").read_text().splitlines()
+            lines[2] = (lines[2].rsplit(",", 1)[0] if case == "short-row"
+                        else lines[2] + ",0.5")
+            (b / "metrics.csv").write_text("\n".join(lines) + "\n")
+            fields = 5 if case == "short-row" else 7
+            want = f"{b}: metrics.csv: line 3 has {fields} fields, the header 6"
         else:
             want = f"{a} vs {b}: runs cover different period counts (1 vs 2)"
         with pytest.raises(SystemExit) as exc:

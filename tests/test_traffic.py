@@ -802,6 +802,13 @@ class TestCandidateDraw:
             # on a plane the gate admits networks where candidates are a
             # minority; users far off a line see most of it within the margin
             assert candidate.sum() < candidate.size / 2
+            # the rows in indexed buckets take the index, though they are
+            # fewer than half
+            seen = []
+            batch.each_block(lambda lo, hi, att, spare, undrawn:
+                             seen.append(undrawn))
+            near = sum(len(u.rows) for u in seen if u.columns is not None)
+            assert 0 < 2 * near < len(batch)
 
     def indexed(self, monkeypatch):
         """The INDEXED world's batch and brute-force fill, at a block size
