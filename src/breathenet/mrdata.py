@@ -242,7 +242,9 @@ def remove_redundant(ds: MrDataset) -> MrDataset:
     One sorted pass runs per record width t. It takes the records that list
     t antennas and, for every wider record, its projection onto each t of
     its antennas: a projection can be dominated, but never dominates.
-    Within one antenna set the items are sorted by their values,
+    The items are sorted by their antenna set, packed into int64 words, and
+    within a set by their first value, descending; a run tied on both goes
+    on by the other values, descending. So within a set the values sort
     lexicographically descending, ties kept with records first and in
     input order. A dominator then always precedes what it dominates, and of
     identical records the earliest comes first, so an item is dominated
@@ -307,21 +309,8 @@ def _dominated_in_set(ids: np.ndarray, vals: np.ndarray,
     never taken as dominators.
     """
     t = ids.shape[1]
-    # a NaN entry is neither >= nor <= anything: its item takes no part
-    items = np.flatnonzero(~np.isnan(vals).any(axis=1))
-    # primary key: the antenna set; then the values, descending; then the
-    # item order, which the stable sort keeps
-    keys = ([-vals[:, c][items] for c in range(t - 1, -1, -1)]
-            + [ids[:, c][items] for c in range(t - 1, -1, -1)])
-    if keys:  # width 0 (rows listing no antenna): one set, in item order
-        items = items[np.lexsort(keys)]
-    del keys
+    items, first = _set_order(ids, vals)
     pos = np.arange(len(items))
-    first = np.zeros(len(items), dtype=bool)
-    first[:1] = True
-    for c in range(t):
-        col = ids[:, c][items]
-        first[1:] |= col[1:] != col[:-1]
     # position j's set starts at start[j]; its dominators are the records
     # among positions start[j] .. j - 1. ``real`` lists the records'
     # positions: those dominators are real[lo_rank[j]:lo_rank[j] + preds[j]]
@@ -353,6 +342,55 @@ def _dominated_in_set(ids: np.ndarray, vals: np.ndarray,
         dominated[b] = True
         lo, done = hi, int(ends[hi - 1])
     return items[dominated]
+
+
+def _set_order(ids: np.ndarray,
+               vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The items with no NaN entry, sorted by antenna set, within a set by
+    their values lexicographically descending, then in item order; and a
+    mask of the positions where a set starts."""
+    t = ids.shape[1]
+    # a NaN entry is neither >= nor <= anything: its item takes no part
+    items = np.flatnonzero(~np.isnan(vals).any(axis=1))
+    first = np.zeros(len(items), dtype=bool)
+    first[:1] = True
+    if not t:  # width 0 (rows listing no antenna): one set, in item order
+        return items, first
+    # primary key: the antenna set; then the first value, descending; then
+    # the item order, which the stable sort keeps
+    words = _packed_sets(ids[items])
+    v0 = vals[items, 0]
+    order = np.lexsort([-v0, *words[::-1]])
+    items = items[order]
+    for word in words:
+        word = word[order]
+        first[1:] |= word[1:] != word[:-1]
+    # a run tied on set and first value goes on by the other values,
+    # descending, ties again in item order; == takes -0.0 for 0.0
+    v0 = v0[order]
+    tied = np.append(False, ~first[1:] & (v0[1:] == v0[:-1]))  # to the last
+    if t > 1 and tied.any():
+        # each run's items, numbered by run
+        at = np.flatnonzero(tied | np.append(tied[1:], False))
+        keys = [-vals[items[at], c] for c in range(t - 1, 0, -1)]
+        items[at] = items[at][np.lexsort([*keys, np.cumsum(~tied)[at]])]
+    return items, first
+
+
+def _packed_sets(ids: np.ndarray) -> list[np.ndarray]:
+    """Each row's ascending positive ids packed into int64 words, first id
+    highest: ``bit_length(max id)`` bits per id, as many ids as fit in 63
+    bits per word. Rows compare as their id lists do, word by word."""
+    bits = int(ids.max(initial=1)).bit_length()
+    per = 63 // bits
+    words = []
+    for lo in range(0, ids.shape[1], per):
+        word = np.zeros(len(ids), np.int64)
+        for c in range(lo, min(lo + per, ids.shape[1])):
+            np.left_shift(word, bits, out=word)
+            np.bitwise_or(word, ids[:, c], out=word)
+        words.append(word)
+    return words
 
 
 def sample_for_jacobian(ds: MrDataset, n_s: int,

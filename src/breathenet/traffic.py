@@ -86,7 +86,8 @@ class PathlossModel:
 @dataclass(frozen=True)
 class Hotspot:
     """Gaussian traffic blob; ``truncate`` (in units of spread) optionally
-    rejects samples beyond that radius to keep users inside the service area."""
+    rejects samples beyond that radius to keep users inside the service area:
+    a sample is redrawn up to 64 times, then scaled onto the radius."""
 
     center: tuple[float, float]
     weight: float
@@ -303,7 +304,7 @@ class AttenuationRecipe:
         operation by operation in the order of the one-shot (U, n) matrix
         expression. ``spare`` is scratch of the same shape the consumer may
         overwrite; ``att`` it only reads. Once ``consume`` returns, both are
-        reused, and so are ``undrawn``'s mask and columns. Blocks arrive in
+        reused, and so is ``undrawn``'s mask. Blocks arrive in
         no fixed order.
 
         Without a ``margin`` every cell's z comes from the stream spawned
@@ -357,20 +358,17 @@ class AttenuationRecipe:
         shadow_rng = (np.random.default_rng(
             np.random.SeedSequence(model.seed, spawn_key=(self.period, 1)))
             if sigma > 0 else None)
-        # each thread's att, spare and shadow planes, its candidate and
-        # undrawn masks, and its indexed rows' columns, flat so that a
-        # block's parts can share them; buffers allocated inside the workers
-        # grow per-thread malloc arenas
+        # each thread's att, spare and shadow planes and its candidate and
+        # undrawn masks, flat so that a block's parts can share them; buffers
+        # allocated inside the workers grow per-thread malloc arenas
         planes = np.empty((workers, 3, min(rows, len(positions)) * n))
         masks = (np.empty((workers, 2, planes.shape[2]), bool)
                  if margin is not None else [None] * workers)
-        tables = (np.empty((workers, planes.shape[2]), index.ids.dtype)
-                  if index is not None else [None] * workers)
         turn = threading.Condition()  # guards upcoming, drawn and stopped
         drawn = 0  # blocks whose z is drawn
         stopped = False
 
-        def parts_of(lo, hi, own, own_masks, own_table):
+        def parts_of(lo, hi, own, own_masks):
             """The parts of block [lo, hi), pathloss filled and candidates
             marked, each as (att, spare, candidate, undrawn); a dense
             block's one part has neither candidate nor undrawn."""
@@ -380,9 +378,8 @@ class AttenuationRecipe:
                 groups = [(np.arange(lo, hi), None)]
             else:
                 far = np.flatnonzero(slot < 0)
-                width = index.sizes(slot[near]).max()
-                columns = index.columns(slot[near], own_table[
-                    :near.size * width].reshape(near.size, width))
+                bucket = slot[near]
+                columns = index.table[bucket, :index.size[bucket].max()]
                 groups = [(lo + near, columns)]
                 if far.size:
                     groups.append((lo + far, None))
@@ -411,7 +408,7 @@ class AttenuationRecipe:
                 offset = end
             return parts
 
-        def run(own, own_masks, own_table):
+        def run(own, own_masks):
             """Take, fill, draw and consume blocks until none is left or a
             thread has failed."""
             nonlocal drawn, stopped
@@ -422,7 +419,7 @@ class AttenuationRecipe:
                     if block is None:
                         return
                     b, (lo, hi) = block
-                    parts = parts_of(lo, hi, own, own_masks, own_table)
+                    parts = parts_of(lo, hi, own, own_masks)
                     sizes = [att.size if candidate is None
                              else np.count_nonzero(candidate)
                              for att, _, candidate, _ in parts]
@@ -465,8 +462,8 @@ class AttenuationRecipe:
         # the calling thread is one of the workers; with one, no thread starts
         with ThreadPoolExecutor(max(1, workers - 1)) as pool:
             helpers = [pool.submit(run, *own)
-                       for own in zip(planes[1:], masks[1:], tables[1:])]
-            run(planes[0], masks[0], tables[0])
+                       for own in zip(planes[1:], masks[1:])]
+            run(planes[0], masks[0])
             for helper in helpers:
                 helper.result()
 
@@ -650,40 +647,27 @@ class SiteIndex:
     a superset of the candidate sites of every user inside it.
 
     ``slot`` maps each bucket to its number among the indexed buckets, or
-    to -1 when the bucket is not indexed. Indexed bucket k lists its sites
-    in ascending order as ``ids[starts[k]:starts[k + 1]]``. ``x`` and ``y``
-    are the site coordinates with a pad site n at +inf, whose pathloss is
-    +inf.
+    to -1 when the bucket is not indexed. Indexed bucket k lists ``size[k]``
+    sites, in ascending order, in row k of ``table``, padded with n. ``x``
+    and ``y`` are the site coordinates with a pad site n at +inf, whose
+    pathloss is +inf.
     """
 
     grid: BucketGrid
     slot: np.ndarray
-    starts: np.ndarray
-    ids: np.ndarray
+    size: np.ndarray
+    table: np.ndarray
     x: np.ndarray
     y: np.ndarray
 
-    @functools.cached_property
+    @property
     def width(self) -> int:
         """The most sites an indexed bucket lists."""
-        return int(np.diff(self.starts).max())
+        return self.table.shape[1]
 
     def slots(self, buckets: np.ndarray) -> np.ndarray:
         """The indexed bucket of each of ``buckets``, -1 where it has none."""
         return np.where(buckets >= 0, self.slot[buckets], -1)
-
-    def sizes(self, slots: np.ndarray) -> np.ndarray:
-        """How many sites each indexed bucket ``slots`` lists."""
-        return self.starts[slots + 1] - self.starts[slots]
-
-    def columns(self, slots: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Fill row r of ``out`` with the sites of indexed bucket
-        ``slots[r]``, padded with n; returns ``out``."""
-        at = self.starts[slots, None] + np.arange(out.shape[1])
-        # "clip": with "raise" take fills a temporary first
-        np.take(self.ids, at, out=out, mode="clip")
-        out[at >= self.starts[slots + 1, None]] = len(self.x) - 1
-        return out
 
 
 def _site_index(sites: np.ndarray, margin: float,
@@ -716,7 +700,7 @@ def _build_site_index(sites: np.ndarray, margin: float,
     user's nearest sites and candidates, so the cut and the candidates
     computed on it are the full row's. The bucket centres are taken
     ``BLOCK_ELEMENTS`` distances at a time, and only the indexed buckets'
-    sites are kept.
+    sites are kept, one row per bucket, padded to the widest.
     """
     n = len(sites)
     grid = BucketGrid.over(sites)
@@ -750,8 +734,11 @@ def _build_site_index(sites: np.ndarray, margin: float,
             lists.append(np.nonzero(member[kept])[1].astype(ids))
     if not sizes:
         return None
-    return SiteIndex(grid, slot, np.cumsum(np.concatenate([[0]] + sizes)),
-                     np.concatenate(lists), np.append(sites[:, 0], np.inf),
+    size = np.concatenate(sizes)
+    table = np.full((len(size), size.max()), n, ids)
+    # row-major, so each bucket's sites fill its row's first size[k] cells
+    table[np.arange(table.shape[1]) < size[:, None]] = np.concatenate(lists)
+    return SiteIndex(grid, slot, size, table, np.append(sites[:, 0], np.inf),
                      np.append(sites[:, 1], np.inf))
 
 
@@ -787,13 +774,16 @@ def sample_users(scenario: TrafficScenario, model: PathlossModel,
             offsets = rng.normal(0.0, h.spread, size=(cnt, 2))
             if h.truncate is not None:
                 cap = h.truncate * h.spread
+                far = np.flatnonzero(np.hypot(offsets[:, 0], offsets[:, 1]) > cap)
                 for _ in range(64):
-                    far = np.hypot(offsets[:, 0], offsets[:, 1]) > cap
-                    if not far.any():
+                    if not far.size:
                         break
-                    offsets[far] = rng.normal(0.0, h.spread, size=(int(far.sum()), 2))
-                else:
-                    offsets = np.clip(offsets, -cap, cap)
+                    offsets[far] = rng.normal(0.0, h.spread, size=(far.size, 2))
+                    # only the offsets just redrawn can lie beyond the cap
+                    far = far[np.hypot(offsets[far, 0], offsets[far, 1]) > cap]
+                # after 64 rounds, what still lies beyond moves onto the cap
+                radius = np.hypot(offsets[far, 0], offsets[far, 1])
+                offsets[far] *= (cap / radius)[:, None]
             chunks.append(np.asarray(h.center, float) + offsets)
     positions = np.concatenate(chunks) if chunks else np.zeros((0, 2))
 

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from breathenet import mrdata
 from breathenet.mrdata import (
+    BLOCK_ELEMENTS,
     MrDataset,
     MrRecord,
     co_neighbours,
@@ -21,7 +23,8 @@ from breathenet.mrdata import (
     subsample,
     to_attenuation,
 )
-from breathenet.traffic import UserBatch, assign_users, block_rows
+from breathenet.synth import proportional_bundle, random_bundle
+from breathenet.traffic import UserBatch, assign_users, block_rows, sample_users
 
 
 def batch_from_attenuation(att):
@@ -487,6 +490,116 @@ class TestRedundancyDeletion:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def two_key_dominated_in_set(ids, vals, records):
+    """``mrdata._dominated_in_set`` with its first sort: one lexsort on the
+    t id columns, then the t values descending."""
+    t = ids.shape[1]
+    items = np.flatnonzero(~np.isnan(vals).any(axis=1))
+    keys = ([-vals[:, c][items] for c in range(t - 1, -1, -1)]
+            + [ids[:, c][items] for c in range(t - 1, -1, -1)])
+    if keys:
+        items = items[np.lexsort(keys)]
+    pos = np.arange(len(items))
+    first = np.zeros(len(items), dtype=bool)
+    first[:1] = True
+    for c in range(t):
+        col = ids[:, c][items]
+        first[1:] |= col[1:] != col[:-1]
+    start = np.maximum.accumulate(np.where(first, pos, 0))
+    real = np.flatnonzero(items < records)
+    lo_rank = np.searchsorted(real, start)
+    preds = np.searchsorted(real, pos) - lo_rank
+    cols = [(vals[:, c][items[real]], vals[:, c][items]) for c in range(1, t)]
+    cand = np.flatnonzero(preds)
+    ends = np.cumsum(preds[cand])
+    dominated = np.zeros(len(items), dtype=bool)
+    lo, done = 0, 0
+    while lo < len(cand):
+        hi = max(lo + 1, int(np.searchsorted(ends, done + BLOCK_ELEMENTS,
+                                             side="right")))
+        js = cand[lo:hi]
+        counts = preds[js]
+        offset = np.cumsum(counts) - counts
+        b = np.repeat(js, counts)
+        a = np.arange(len(b)) + np.repeat(lo_rank[js] - offset, counts)
+        for col_a, col_b in cols:
+            ge = np.flatnonzero(col_a[a] >= col_b[b])
+            a, b = a[ge], b[ge]
+        dominated[b] = True
+        lo, done = hi, int(ends[hi - 1])
+    return items[dominated]
+
+
+class TestDominanceOrder:
+    """The dominance pass sorts on the antenna set, packed into int64 words,
+    and the first value, and re-sorts a run tied on both by the other
+    values: it must delete what the sort on every id and value column
+    deletes."""
+
+    def assert_matches_brute_force(self, records, n):
+        records = [MrRecord(tuple(r)) for r in records]
+        ds = dataset_from_records(records, "attenuation", n)
+        got = remove_redundant(ds)
+        keep = brute_force_survivors(records)
+        assert np.array_equal(got.ids, ds.ids[keep])
+        assert np.array_equal(got.values.view(np.uint64),
+                              ds.values[keep].view(np.uint64))
+        return keep
+
+    def test_ids_near_a_billion_take_three_words(self):
+        # 31-bit ids, two to a word: a set of six packs into three words
+        pool = 10**9 + np.array([0, 1, 5, 7, 2**20, 2**29, 3 * 2**25])
+        rng = np.random.default_rng(46)
+        records = []
+        for _ in range(300):
+            aids = rng.choice(pool, int(rng.integers(5, 7)), replace=False)
+            vals = rng.integers(0, 3, size=len(aids)).astype(float)
+            records.append(list(zip(aids.tolist(), vals.tolist())))
+        assert len(mrdata._packed_sets(np.sort(pool)[None, :6])) == 3
+        keep = self.assert_matches_brute_force(records, int(pool.max()))
+        assert 10 < len(keep) < 290
+
+    def test_a_tie_on_set_and_first_value_whose_dominator_comes_later(self):
+        # every item of set {1, 2} has 5.0 first, the projection of record 0
+        # among them; only the last record, 5.0 and 4.0, is kept
+        records = [[(1, 5.0), (2, 1.0), (3, 0.0)], [(1, 5.0), (2, 1.0)],
+                   [(2, 3.0), (1, 5.0)], [(1, 5.0), (2, 4.0)]]
+        assert self.assert_matches_brute_force(records, 3) == [3]
+
+    def test_signed_zeros_in_the_first_column_tie(self):
+        # the records alternate -0.0 and 0.0 first: record 1 dominates them
+        # all, record 3 being identical to it
+        records = [[(1, -0.0), (2, 1.0)], [(1, 0.0), (2, 2.0)],
+                   [(1, 0.0), (2, 1.0)], [(1, -0.0), (2, 2.0)]]
+        assert self.assert_matches_brute_force(records, 2) == [1]
+
+    @pytest.mark.parametrize("world", ["random", "proportional"])
+    def test_deletes_what_the_two_key_sort_deletes(self, world, monkeypatch):
+        if world == "random":
+            bundle = random_bundle(nx=16, ny=16, total_users=10000, seed=5)
+        else:
+            # period 2 tiles 2 400 of period 1's records again: identical
+            # records, so runs tied on set and first value
+            bundle = proportional_bundle(periods=2, total_users=4000,
+                                         betas=[1.0, 1.6])
+        powers = bundle.topo.initial_powers()
+        for k in range(1, bundle.scenario.horizon + 1):
+            batch = sample_users(bundle.scenario, bundle.pathloss,
+                                 bundle.topo, k)
+            ds = to_attenuation(generate_mr(batch, powers), powers)
+            got = remove_redundant(ds)
+            with monkeypatch.context() as patch:
+                patch.setattr(mrdata, "_dominated_in_set",
+                              two_key_dominated_in_set)
+                want = remove_redundant(ds)
+            assert np.array_equal(got.ids, want.ids)
+            assert np.array_equal(got.values.view(np.uint64),
+                                  want.values.view(np.uint64))
+            assert len(got) < len(ds)
+        if world == "proportional":
+            assert len(np.unique(ds.values, axis=0)) < len(ds)
 
 
 class TestJacobianSampling:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from breathenet import traffic
 from breathenet.model import Antenna, ConfigError, NetworkTopology
 from breathenet.mrdata import generate_mr
-from breathenet.synth import grid_topology
+from breathenet.synth import grid_topology, tidal_bundle
 from breathenet.traffic import (
     AttenuationRecipe,
     Hotspot,
@@ -140,6 +140,55 @@ class TestSampling:
         users = sample_users(scenario, PathlossModel(), topo, 1)
         radius = np.hypot(users.positions[:, 0] - 500.0, users.positions[:, 1])
         assert radius.max() <= 150.0 + 1e-9
+
+    @staticmethod
+    def full_recheck_positions(scenario, k):
+        """Period k's positions, every offset checked again after each round
+        of redraws; the scenario must never need the fallback."""
+        spec = scenario.periods[k - 1]
+        rng = np.random.default_rng(np.random.SeedSequence(scenario.seed,
+                                                           spawn_key=(k,)))
+        weights = np.array([h.weight for h in spec.hotspots])
+        counts = rng.multinomial(spec.total_users, weights / weights.sum())
+        chunks = []
+        for h, cnt in zip(spec.hotspots, counts):
+            if cnt:
+                offsets = rng.normal(0.0, h.spread, size=(cnt, 2))
+                if h.truncate is not None:
+                    cap = h.truncate * h.spread
+                    for _ in range(64):
+                        far = np.hypot(offsets[:, 0], offsets[:, 1]) > cap
+                        if not far.any():
+                            break
+                        offsets[far] = rng.normal(0.0, h.spread,
+                                                  size=(int(far.sum()), 2))
+                    assert (np.hypot(offsets[:, 0], offsets[:, 1]) <= cap).all()
+                chunks.append(np.asarray(h.center, float) + offsets)
+        return np.concatenate(chunks)
+
+    def test_redraws_match_the_full_recheck(self):
+        bundle = tidal_bundle()
+        # a truncate of one spread redraws 61% of the offsets each round
+        many = one_period(2000, [Hotspot((500.0, 0.0), 0.7, 100.0, truncate=1.0),
+                                 Hotspot((0.0, 0.0), 0.3, 50.0, truncate=1.6)],
+                          seed=6)
+        worlds = [(bundle.scenario, bundle.pathloss, bundle.topo, k)
+                  for k in range(1, bundle.scenario.horizon + 1)]
+        worlds.append((many, PathlossModel(), line_topo(2), 1))
+        for scenario, model, topo, k in worlds:
+            users = sample_users(scenario, model, topo, k)
+            assert np.array_equal(users.positions,
+                                  self.full_recheck_positions(scenario, k)), k
+
+    def test_truncation_fallback_stays_within_the_cap(self):
+        # a cap of 1 m at a spread of 100 m: nearly every offset is still
+        # beyond it after 64 rounds and is moved onto it
+        scenario = one_period(
+            2000, [Hotspot((500.0, 0.0), 1.0, 100.0, truncate=0.01)], seed=4)
+        users = sample_users(scenario, PathlossModel(), line_topo(2), 1)
+        radius = np.hypot(users.positions[:, 0] - 500.0, users.positions[:, 1])
+        assert radius.max() <= 1.0 * (1 + 1e-12)
+        assert np.count_nonzero(np.isclose(radius, 1.0)) > 1900
 
 
 class TestProportionalMode:
@@ -862,7 +911,7 @@ class TestCandidateDraw:
         index = traffic._site_index(batch._recipe.sites, batch._recipe.margin,
                                     self.MODEL.exponent)
         # every bucket is indexed, nearly all of them listing over n/8 sites
-        sizes = np.diff(index.starts)
+        sizes = index.size
         assert (index.slot >= 0).all() and 2 * sizes.max() <= self.HALF.n
         assert 10 * np.count_nonzero(8 * sizes > self.HALF.n) > 9 * sizes.size
         seen = []
@@ -1088,9 +1137,10 @@ class TestSiteIndex:
         full = pathloss_to(users[inside], sites[None, :, 0], sites[None, :, 1],
                            model)
         cut = np.partition(full, rank - 1, axis=1)[:, rank - 1] + margin
-        columns = index.columns(slots[inside],
-                                np.empty((inside.sum(), index.width), index.ids.dtype))
+        columns = index.table[slots[inside]]
         assert (np.diff(columns, axis=1) >= 0).all()
+        assert np.array_equal(np.count_nonzero(columns < n, axis=1),
+                              index.size[slots[inside]])
         listed = np.zeros((len(columns), n + 1), bool)
         np.put_along_axis(listed, columns.astype(np.intp), True, axis=1)
         assert not (full <= cut[:, None])[~listed[:, :n]].any()
